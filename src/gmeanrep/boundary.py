@@ -14,7 +14,7 @@ factors underflow otherwise) and vanish identically at segment endpoints.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -58,7 +58,7 @@ class SegmentDensity:
     lo: float
     hi: float
     weight: float
-    density: Callable[[np.ndarray], np.ndarray]
+    density: Callable[[np.ndarray], np.ndarray] = field(repr=False)
 
 
 def _segments_raw(values: tuple[float, ...]) -> list[SegmentDensity]:

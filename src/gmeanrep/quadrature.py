@@ -1,11 +1,13 @@
 """Adaptive one-dimensional quadrature for the segment integrals.
 
 The engine pairs a 15-point Kronrod rule with its embedded 7-point Gauss rule
-for per-panel error estimation, refines the worst panel first, and (by
-default) routes the whole interval through a tanh-sinh ("double exponential")
-change of variable so that integrands with algebraic endpoint behaviour such
-as ``|t - lo|**(1/n)`` — bounded value, unbounded derivative — are tamed
-before any panel is laid down.
+for per-panel error estimation, refines the worst panel first, and routes the
+whole interval through a tanh-sinh ("double exponential") change of variable
+so that integrands with algebraic endpoint behaviour such as
+``|t - lo|**(1/n)`` — bounded value, unbounded derivative — are tamed before
+any panel is laid down.  :func:`integrate_near_pole` makes the real
+projection of a nearby pole an endpoint too: it splits there once and lets
+the remap cluster nodes on both sides of it.
 
 Integrands receive a 1-D ``ndarray`` of abscissae and must return a same-shape
 array (real or complex).  Complex integrands are handled natively: real and
@@ -45,15 +47,12 @@ class QuadratureSpec:
     abs_tol: float = 1e-12
     rel_tol: float = 1e-10
     max_subdivisions: int = 2000
-    endpoint_transform: str = "double_exponential"  # or "none"
 
     def __post_init__(self):
         if not (self.abs_tol > 0.0 and self.rel_tol > 0.0):
             raise ValueError("tolerances must be positive")
         if self.max_subdivisions < 1:
             raise ValueError("max_subdivisions must be >= 1")
-        if self.endpoint_transform not in ("none", "double_exponential"):
-            raise ValueError(f"unknown endpoint_transform {self.endpoint_transform!r}")
 
 
 @dataclass(frozen=True)
@@ -120,20 +119,13 @@ def kronrod_panel(f, lo: float, hi: float):
 
     Exposed so the base rule's polynomial exactness can be checked directly.
     """
-    c = 0.5 * (lo + hi)
-    h = 0.5 * (hi - lo)
-    x = c + h * _XK
-    y = np.asarray(f(x))
-    if y.shape != x.shape:
-        y = np.broadcast_to(y, x.shape)
-    k = h * (y @ _WK)
-    g = h * (y[1::2] @ _WG)
-    err = max(float(abs(k - g)), _ROUNDOFF * float(abs(k)))
-    return k, g, err
+    k, g, err = _eval_panels(f, [lo], [hi])
+    return k[0], g[0], float(err[0])
 
 
 def _eval_panels(f, edges_lo, edges_hi):
-    """Kronrod values and error estimates for several panels in one call."""
+    """Kronrod values, embedded Gauss values and error estimates for several
+    panels in one call."""
     los = np.asarray(edges_lo, dtype=float)
     his = np.asarray(edges_hi, dtype=float)
     c = 0.5 * (los + his)
@@ -146,13 +138,13 @@ def _eval_panels(f, edges_lo, edges_hi):
     k = h * (y @ _WK)
     g = h * (y[:, 1::2] @ _WG)
     err = np.maximum(np.abs(k - g), _ROUNDOFF * np.abs(k))
-    return k, err
+    return k, g, err
 
 
 def _adaptive(f, lo: float, hi: float, spec: QuadratureSpec):
     """Worst-first global adaptive refinement of Kronrod panels on [lo, hi]."""
     edges = np.linspace(lo, hi, _INITIAL_PANELS + 1)
-    vals, errs = _eval_panels(f, edges[:-1], edges[1:])
+    vals, _, errs = _eval_panels(f, edges[:-1], edges[1:])
     panels = [[edges[i], edges[i + 1], vals[i], float(errs[i])] for i in range(_INITIAL_PANELS)]
     alive = [True] * _INITIAL_PANELS
     heap = [(-panels[i][3], i, i) for i in range(_INITIAL_PANELS)]
@@ -178,7 +170,7 @@ def _adaptive(f, lo: float, hi: float, spec: QuadratureSpec):
             # panel width at machine precision; keep it, never re-queue it
             continue
         alive[idx] = False
-        (v1, v2), (e1, e2) = _eval_panels(f, [plo, mid], [mid, phi])
+        (v1, v2), _, (e1, e2) = _eval_panels(f, [plo, mid], [mid, phi])
         for plo2, phi2, v, e in ((plo, mid, v1, float(e1)), (mid, phi, v2, float(e2))):
             panels.append([plo2, phi2, v, e])
             alive.append(True)
@@ -215,10 +207,9 @@ def integrate(f, lo: float, hi: float, spec: QuadratureSpec | None = None) -> Qu
     """Adaptive integral of ``f`` over [lo, hi].
 
     Requires ``lo <= hi`` and ``f`` finite-valued on the closed interval;
-    endpoint derivatives may blow up.  With the default
-    ``double_exponential`` endpoint transform the interval is remapped so
-    that node density increases double-exponentially toward both endpoints,
-    then refined adaptively in the transformed variable.
+    endpoint derivatives may blow up.  The interval is remapped by tanh-sinh
+    so that node density increases double-exponentially toward both
+    endpoints, then refined adaptively in the transformed variable.
 
     Never raises on non-convergence: when the subdivision budget is
     exhausted the best available estimate is returned with
@@ -230,11 +221,8 @@ def integrate(f, lo: float, hi: float, spec: QuadratureSpec | None = None) -> Qu
         raise ValueError(f"integration bounds out of order: [{lo}, {hi}]")
     if lo == hi:
         return QuadratureResult(0.0, 0.0, 0, True)
-    if spec.endpoint_transform == "double_exponential":
-        g = _tanh_sinh_wrap(f, lo, hi)
-        value, error, subs, ok = _adaptive(g, -_DE_CUTOFF, _DE_CUTOFF, spec)
-    else:
-        value, error, subs, ok = _adaptive(f, lo, hi, spec)
+    g = _tanh_sinh_wrap(f, lo, hi)
+    value, error, subs, ok = _adaptive(g, -_DE_CUTOFF, _DE_CUTOFF, spec)
     value = complex(value) if np.iscomplexobj(value) else float(value)
     return QuadratureResult(value, error, subs, ok)
 
@@ -247,27 +235,17 @@ def integrate_near_pole(
     ``pole`` marks the real projection of the closest approach of a factor
     like ``1/(t + z)``; the integrand itself must stay finite (``im(z) != 0``
     guarantees this).  When the pole lies strictly inside [lo, hi] the
-    interval is split there and panel edges are graded geometrically toward
-    the split before each piece is delegated to :func:`integrate`; otherwise
+    interval is split there once, so the tanh-sinh remap of each half
+    clusters nodes toward the pole as it does toward any endpoint; otherwise
     the call is exactly ``integrate(f, lo, hi, spec)``.
     """
-    if spec is None:
-        spec = QuadratureSpec()
     if not (lo < pole < hi):
         return integrate(f, lo, hi, spec)
-    edges = {lo, pole, hi}
-    d = hi - lo
-    for _ in range(10):
-        d *= 0.25
-        if pole - d > lo:
-            edges.add(pole - d)
-        if pole + d < hi:
-            edges.add(pole + d)
-    cuts = sorted(edges)
-    parts = [integrate(f, e0, e1, spec) for e0, e1 in zip(cuts, cuts[1:])]
-    value = sum(p.value for p in parts)
-    error = float(sum(p.error_estimate for p in parts))
-    subs = sum(p.subdivisions_used for p in parts)
-    ok = all(p.converged for p in parts)
-    value = complex(value) if any(isinstance(p.value, complex) for p in parts) else float(value)
-    return QuadratureResult(value, error, subs, ok)
+    left = integrate(f, lo, pole, spec)
+    right = integrate(f, pole, hi, spec)
+    return QuadratureResult(
+        left.value + right.value,
+        left.error_estimate + right.error_estimate,
+        left.subdivisions_used + right.subdivisions_used,
+        left.converged and right.converged,
+    )

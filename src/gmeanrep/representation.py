@@ -9,10 +9,11 @@ is the arithmetic mean.  At ``z = 0`` the remainder is exactly the
 arithmetic-minus-geometric gap, which the nonnegative integrand keeps >= 0.
 
 ``z = 0`` needs no special handling: the integration variable stays >= min(a)
-> 0, so ``1/(t+z)`` is bounded for every ``re(z) > -min(a)``.  Near the cut a
-pole-aware quadrature split is used, and within distance 1e-6 of the cut the
-result is still computed but flagged as ill-conditioned through an inflated
-error estimate.
+> 0, so ``1/(t+z)`` is bounded for every ``re(z) > -min(a)``.  A segment that
+contains the pole projection ``-re(z)`` is split there once (see
+:func:`gmeanrep.quadrature.integrate_near_pole`), and within distance 1e-6 of
+the cut the result is still computed but flagged as ill-conditioned through
+an inflated error estimate.
 """
 
 from __future__ import annotations
@@ -24,10 +25,8 @@ import numpy as np
 
 from .boundary import _segments_raw
 from .means import CutViolation, Sequence, _check_cut, _check_point
-from .quadrature import QuadratureFailure, QuadratureSpec, integrate, integrate_near_pole
+from .quadrature import QuadratureFailure, QuadratureSpec, integrate_near_pole
 
-# below this distance from the cut the pole-aware split is mandatory
-_NEAR_CUT = 1e-2
 # below this distance results are flagged ill-conditioned
 _ILL_CONDITIONED = 1e-6
 
@@ -68,17 +67,13 @@ def _remainder_raw(
 ) -> RemainderValue:
     segs = _segments_raw(values)
     pole = -z.real
-    near_cut = _cut_distance(values, z) < _NEAR_CUT if segs else False
     per = []
     failed = []
     for seg in segs:
         def f(t, seg=seg):
             return seg.density(t) * (density_scale / (t + z))
 
-        if near_cut or seg.lo < pole < seg.hi:
-            res = integrate_near_pole(f, seg.lo, seg.hi, pole, spec)
-        else:
-            res = integrate(f, seg.lo, seg.hi, spec)
+        res = integrate_near_pole(f, seg.lo, seg.hi, pole, spec)
         per.append((seg.index, seg.weight * complex(res.value), seg.weight * res.error_estimate))
         if not res.converged:
             failed.append(seg.index)

@@ -27,6 +27,11 @@ class TestSegments:
         assert (seg.lo, seg.hi) == (1.0, 2.0)
         assert seg.weight == math.sin(math.pi / 2) / math.pi == 1.0 / math.pi
 
+    def test_repr_has_no_address(self):
+        # verify reports print segments; a closure address would vary per run
+        (seg,) = segments(Sequence((1, 2)))
+        assert "0x" not in repr(seg)
+
     def test_duplicate_entry_dropped(self):
         segs = segments(Sequence((1, 2, 2, 5)))
         assert [(s.index, s.lo, s.hi) for s in segs] == [(1, 1.0, 2.0), (3, 2.0, 5.0)]

@@ -2,10 +2,12 @@
 
 import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from gmeanrep import verify
 from gmeanrep.quadrature import (
     QuadratureResult,
     QuadratureSpec,
@@ -28,7 +30,6 @@ class TestSpec:
         spec = QuadratureSpec()
         assert spec.abs_tol == 1e-12 and spec.rel_tol == 1e-10
         assert spec.max_subdivisions == 2000
-        assert spec.endpoint_transform == "double_exponential"
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -36,7 +37,6 @@ class TestSpec:
             {"abs_tol": 0.0},
             {"rel_tol": -1.0},
             {"max_subdivisions": 0},
-            {"endpoint_transform": "sinh"},
         ],
     )
     def test_rejects_invalid(self, kwargs):
@@ -114,9 +114,8 @@ class TestIntegrate:
         r2 = integrate(lambda t: semicircle(t) / (t + 0.3), 1.0, 2.0)
         assert r1 == r2
 
-    def test_no_transform_on_smooth_integrand(self):
-        spec = QuadratureSpec(endpoint_transform="none")
-        res = integrate(lambda t: np.exp(t), 0.0, 1.0, spec)
+    def test_smooth_integrand(self):
+        res = integrate(lambda t: np.exp(t), 0.0, 1.0)
         assert abs(res.value - (math.e - 1.0)) <= 1e-12
 
     def test_complex_integrand(self):
@@ -165,6 +164,21 @@ class TestIntegrate:
             if true_err == 0.0 or true_err <= 10.0 * est.error_estimate:
                 honest += 1
         assert honest / cases >= 0.95
+
+    def test_honesty_suite_reports_a_lying_estimate(self, monkeypatch):
+        # every loose-spec value is off by 1e-6, far beyond 10x its estimate
+        spec = QuadratureSpec()
+
+        def lying(f, lo, hi, s=None):
+            res = integrate(f, lo, hi, s)
+            return replace(res, value=res.value + 1e-6) if s == spec else res
+
+        monkeypatch.setattr(verify, "integrate", lying)
+        res = verify.SuiteResult(suite="quad-error-honesty", cases_run=10)
+        verify._suite_quad_error_honesty(np.random.default_rng(23), 10, {"quad": spec}, res)
+        assert not res.passed
+        (failure,) = res.failures
+        assert failure["case"] == "aggregate" and float(failure["observed"]) == 0.0
 
 
 class TestNearPole:

@@ -203,6 +203,19 @@ class TestStructuralProperties:
     def test_near_cut_accuracy(self):
         # pole projection inside a segment, tiny imaginary offset
         a = Sequence((1, 3))
-        for im in (1e-2, 1e-3, 1e-4):
+        for im in (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, -1e-6):
             z = complex(-2.0, im)
             assert abs(gmean_via_representation(a, z) - principal_gmean(a, z)) <= 1e-8
+
+    def test_near_cut_error_estimate_honesty(self):
+        # achieved remainder error within 10x the estimate, 1e-6..1e-2 off the loaded cut
+        rng = np.random.default_rng(49)
+        for _ in range(30):
+            a = random_sequence(rng)
+            if a.max == a.min:
+                continue
+            for sign in (1.0, -1.0):
+                z = complex(rng.uniform(-a.max, -a.min), sign * 10.0 ** rng.uniform(-6, -2))
+                rem = remainder(a, z)
+                truth = arithmetic_mean(a) + z - principal_gmean(a, z)
+                assert abs(rem.value - truth) <= 10.0 * rem.total_error_estimate, (a.values, z)
