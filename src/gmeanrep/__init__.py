@@ -29,7 +29,6 @@ from .contour import (
 )
 from .means import (
     CutViolation,
-    EvalReport,
     Sequence,
     arithmetic_mean,
     geometric_mean,
@@ -62,7 +61,6 @@ __all__ = [
     "GeometryError",
     "QuadratureFailure",
     "Sequence",
-    "EvalReport",
     "SegmentDensity",
     "QuadratureSpec",
     "QuadratureResult",

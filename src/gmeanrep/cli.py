@@ -31,6 +31,7 @@ import os
 import pathlib
 import re
 import sys
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,7 +40,6 @@ from .boundary import DomainError, _segments_raw, boundary_imag_limit, boundary_
 from .contour import ContourSpec, GeometryError, cauchy_eval
 from .means import (
     CutViolation,
-    EvalReport,
     Sequence,
     arithmetic_mean,
     geometric_mean,
@@ -139,6 +139,26 @@ def _add_tol_args(sub) -> None:
     sub.add_argument("--rel-tol", type=float, default=1e-10, help="quadrature relative tolerance")
 
 
+@dataclass(frozen=True)
+class EvalReport:
+    """Paired direct/representation evaluation with error decomposition."""
+
+    direct_value: complex
+    repr_value: complex
+    abs_error: float
+    quad_error_estimate: float
+    segments_evaluated: int
+
+    def to_dict(self) -> dict:
+        return {
+            "direct_value": {"re": self.direct_value.real, "im": self.direct_value.imag},
+            "repr_value": {"re": self.repr_value.real, "im": self.repr_value.imag},
+            "abs_error": self.abs_error,
+            "quad_error_estimate": self.quad_error_estimate,
+            "segments_evaluated": self.segments_evaluated,
+        }
+
+
 # ---------------------------------------------------------------------------
 # commands
 
@@ -227,11 +247,7 @@ def cmd_gap(args) -> int:
 def cmd_contour(args) -> int:
     a = parse_sequence(args.a)
     z = parse_complex(args.z)
-    spec = ContourSpec(
-        eps=args.eps, r=args.r,
-        points_per_arc=args.points_per_arc, points_per_line=args.points_per_line,
-    )
-    bd = cauchy_eval(a, z, spec)
+    bd = cauchy_eval(a, z, ContourSpec(eps=args.eps, r=args.r))
     if args.format == "json":
         text = json.dumps(bd.to_dict(), indent=2) + "\n"
     elif args.format == "table":
@@ -359,8 +375,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--z", required=True)
     p.add_argument("--eps", type=float, default=1e-3, help="small-arc radius and line offset")
     p.add_argument("--r", type=float, default=1e3, help="outer-arc radius")
-    p.add_argument("--points-per-arc", type=int, default=512)
-    p.add_argument("--points-per-line", type=int, default=4096)
     p.add_argument("--format", choices=("csv", "json", "table"), default="csv")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_contour)

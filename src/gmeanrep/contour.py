@@ -9,6 +9,12 @@ the integral representation can be watched numerically: the small arc
 vanishes, the outer arc tends to the rebased arithmetic mean, and the two
 lines collapse onto the cut-limit density integral.
 
+Every piece is integrated by :mod:`gmeanrep.quadrature`: the arcs over their
+angle with the default :class:`~gmeanrep.quadrature.QuadratureSpec`, the
+lines over ``x`` with a fixed line budget, split at the cut junctions and at
+the real projection of ``z``.  An integral that does not converge raises
+:class:`~gmeanrep.quadrature.QuadratureFailure`.
+
 The contour is closed approximately: the lines are truncated at ``x = -r``
 and the outer arc spans the full ``(-pi, pi)``; the resulting O(eps/r)
 junction mismatch is part of the reported reconstruction error and shrinks
@@ -23,11 +29,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary import _segments_raw
+from . import representation
 from .means import Sequence, _check_cut, _check_point, _gmean_raw
-from .quadrature import QuadratureSpec, integrate_near_pole
+from .quadrature import QuadratureFailure, QuadratureSpec, integrate, integrate_near_pole
 
 _TWO_PI_I = 2j * math.pi
+
+# tolerances and subdivision budget of each horizontal-line integral
+_LINE_SPEC = QuadratureSpec(abs_tol=1e-11, rel_tol=1e-10, max_subdivisions=136)
 
 
 class GeometryError(ValueError):
@@ -36,24 +45,18 @@ class GeometryError(ValueError):
 
 @dataclass(frozen=True)
 class ContourSpec:
-    """Keyhole geometry and discretization budget.
+    """Keyhole geometry.
 
     ``eps`` is both the small half-circle radius and the line offset from the
-    cut; ``r`` the outer radius.  ``points_per_arc`` sets the composite-Gauss
-    node count on each arc; ``points_per_line`` caps the adaptive-quadrature
-    evaluation budget on each horizontal line.
+    cut; ``r`` the outer radius.
     """
 
     eps: float = 1e-3
     r: float = 1e3
-    points_per_arc: int = 512
-    points_per_line: int = 4096
 
     def __post_init__(self):
         if not (0.0 < self.eps < self.r):
             raise ValueError(f"need 0 < eps < r, got eps={self.eps}, r={self.r}")
-        if self.points_per_arc < 8 or self.points_per_line < 8:
-            raise ValueError("point counts must be >= 8")
 
 
 @dataclass(frozen=True)
@@ -79,29 +82,29 @@ class ContourBreakdown:
         }
 
 
-_GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(16)
-
-
-def _composite_gauss(g, lo: float, hi: float, n_points: int) -> complex:
-    """Fixed composite 16-point Gauss rule with ~n_points nodes on [lo, hi].
-
-    Gauss nodes are strictly interior, so ``g`` is never evaluated at the
-    panel edges (the outer arc touches the cut at its angular endpoints).
-    """
-    n_panels = max(1, n_points // 16)
-    edges = np.linspace(lo, hi, n_panels + 1)
-    c = 0.5 * (edges[:-1] + edges[1:])
-    h = 0.5 * (edges[1:] - edges[:-1])
-    x = (c[:, None] + h[:, None] * _GAUSS_X[None, :]).reshape(-1)
-    w = (h[:, None] * _GAUSS_W[None, :]).reshape(-1)
-    return complex(np.asarray(g(x)) @ w)
-
-
 def _excess_shifted_raw(shifted: tuple[float, ...], w: np.ndarray) -> np.ndarray:
     return _gmean_raw(shifted, w) - w
 
 
-def small_circle_term(a: Sequence, z, eps: float, n_points: int = 512) -> complex:
+def _value_or_raise(res, what: str) -> complex:
+    """The value of a contour integral, or a raise when it did not converge."""
+    if not res.converged:
+        raise QuadratureFailure(f"{what} integral did not converge", result=res)
+    return complex(res.value)
+
+
+def _arc_integral(a: Sequence, z: complex, radius: float, lo: float, hi: float, what: str) -> complex:
+    """Cauchy integral over the arc ``radius * e^{i*theta}``, theta in [lo, hi]."""
+    shifted = a.shifted()
+
+    def g(theta):
+        w = radius * np.exp(1j * theta)
+        return (1j * w) * _excess_shifted_raw(shifted, w) / (w - z) / _TWO_PI_I
+
+    return _value_or_raise(integrate(g, lo, hi), what)
+
+
+def small_circle_term(a: Sequence, z, eps: float) -> complex:
     """Small-arc piece: the half circle ``eps * e^{i*theta}`` traversed from
     ``theta = pi/2`` down to ``-pi/2`` (indenting around the origin).
 
@@ -110,17 +113,11 @@ def small_circle_term(a: Sequence, z, eps: float, n_points: int = 512) -> comple
     z = complex(_check_point(z))
     if not (0.0 < eps < abs(z)):
         raise GeometryError(f"need 0 < eps < |z|, got eps={eps}, |z|={abs(z)}")
-    shifted = a.shifted()
-
-    def g(theta):
-        w = eps * np.exp(1j * theta)
-        return (1j * w) * _excess_shifted_raw(shifted, w) / (w - z) / _TWO_PI_I
-
     # reversed orientation: from pi/2 to -pi/2
-    return -_composite_gauss(g, -0.5 * math.pi, 0.5 * math.pi, n_points)
+    return -_arc_integral(a, z, eps, -0.5 * math.pi, 0.5 * math.pi, "small-arc")
 
 
-def big_circle_term(a: Sequence, z, r: float, n_points: int = 512) -> complex:
+def big_circle_term(a: Sequence, z, r: float) -> complex:
     """Outer-arc piece over ``theta`` in ``(-pi, pi)`` at radius ``r``.
 
     Converges to the arithmetic mean of the rebased entries as ``r -> inf``.
@@ -134,25 +131,12 @@ def big_circle_term(a: Sequence, z, r: float, n_points: int = 512) -> complex:
         raise GeometryError(f"need r > |z|, got r={r}, |z|={abs(z)}")
     if not r > a.max:
         raise GeometryError(f"need r > max(a), got r={r}, max={a.max}")
-    shifted = a.shifted()
-
-    def g(theta):
-        w = r * np.exp(1j * theta)
-        return (1j * w) * _excess_shifted_raw(shifted, w) / (w - z) / _TWO_PI_I
-
-    return _composite_gauss(g, -math.pi, math.pi, n_points)
+    return _arc_integral(a, z, r, -math.pi, math.pi, "outer-arc")
 
 
-def _line_quad_spec(points_per_line: int) -> QuadratureSpec:
-    return QuadratureSpec(
-        abs_tol=1e-11, rel_tol=1e-10, max_subdivisions=max(64, points_per_line // 30)
-    )
-
-
-def _line_terms(a: Sequence, z: complex, eps: float, r: float, points_per_line: int):
+def _line_terms(a: Sequence, z: complex, eps: float, r: float):
     """Upper and lower horizontal-line pieces, split at the cut junctions."""
     shifted = a.shifted()
-    spec = _line_quad_spec(points_per_line)
     cuts = sorted({-r, 0.0} | {-s for s in shifted if 0.0 < s < r})
 
     def piece(sign: float) -> complex:
@@ -164,7 +148,7 @@ def _line_terms(a: Sequence, z: complex, eps: float, r: float, points_per_line: 
 
         total = 0j
         for lo, hi in zip(cuts, cuts[1:]):
-            total += complex(integrate_near_pole(f, lo, hi, z.real, spec).value)
+            total += _value_or_raise(integrate_near_pole(f, lo, hi, z.real, _LINE_SPEC), "line")
         return total
 
     upper = piece(+1.0)          # integral from -r to 0 at +i*eps
@@ -202,14 +186,15 @@ def cauchy_eval(a: Sequence, z, spec: ContourSpec | None = None) -> ContourBreak
         GeometryError: when ``z`` is outside the annulus ``eps < |z| < r``,
             on the cut, inside the indentation strip, or within ``eps/2`` of
             the contour.
+        QuadratureFailure: when an arc or line integral does not converge.
     """
     z = complex(_check_point(z))
     if spec is None:
         spec = ContourSpec()
     _check_geometry(a, z, spec.eps, spec.r)
-    small = small_circle_term(a, z, spec.eps, spec.points_per_arc)
-    outer = big_circle_term(a, z, spec.r, spec.points_per_arc)
-    upper, lower = _line_terms(a, z, spec.eps, spec.r, spec.points_per_line)
+    small = small_circle_term(a, z, spec.eps)
+    outer = big_circle_term(a, z, spec.r)
+    upper, lower = _line_terms(a, z, spec.eps, spec.r)
     total = small + outer + upper + lower
     return ContourBreakdown(small, outer, upper, lower, total)
 
@@ -219,25 +204,24 @@ def line_collapse_check(
 ) -> tuple[complex, complex]:
     """The two line pieces against their collapsed cut-limit form.
 
-    Returns ``(upper + lower, -(1/pi) * sum_l sin(l*pi/n) * int density/(t+z))``
-    over the rebased segments clipped to ``[0, r]``.  The pair agrees to
+    Returns ``(upper + lower, -R_shifted(z))``, where ``R_shifted`` is the
+    remainder transform of the rebased entries computed by
+    :mod:`gmeanrep.representation` under ``spec``.  The pair agrees to
     ``O(eps**(1/n))`` plus discretization error.
+
+    Raises:
+        GeometryError: as :func:`cauchy_eval`, and when ``r <= max(a)``, so
+            the lines cover every rebased segment.
+        QuadratureFailure: when a line integral or a segment integral of the
+            remainder does not converge.
     """
     z = complex(_check_point(z))
-    cspec = ContourSpec(eps=eps, r=r)
+    ContourSpec(eps=eps, r=r)  # validates 0 < eps < r
     _check_geometry(a, z, eps, r)
+    if not r > a.max:
+        raise GeometryError(f"need r > max(a), got r={r}, max={a.max}")
     if spec is None:
         spec = QuadratureSpec()
-    upper, lower = _line_terms(a, z, eps, r, cspec.points_per_line)
-
-    collapsed = 0j
-    for seg in _segments_raw(a.shifted()):
-        lo, hi = seg.lo, min(seg.hi, r)
-        if lo >= hi:
-            continue
-
-        def f(t, seg=seg):
-            return seg.density(t) / (t + z)
-
-        collapsed -= seg.weight * complex(integrate_near_pole(f, lo, hi, -z.real, spec).value)
+    upper, lower = _line_terms(a, z, eps, r)
+    collapsed = -representation._remainder_raw(a.shifted(), z, spec, 1.0).value
     return upper + lower, collapsed

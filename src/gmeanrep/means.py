@@ -69,26 +69,6 @@ class Sequence:
         return len(self.values)
 
 
-@dataclass(frozen=True)
-class EvalReport:
-    """Paired direct/representation evaluation with error decomposition."""
-
-    direct_value: complex
-    repr_value: complex
-    abs_error: float
-    quad_error_estimate: float
-    segments_evaluated: int
-
-    def to_dict(self) -> dict:
-        return {
-            "direct_value": {"re": self.direct_value.real, "im": self.direct_value.imag},
-            "repr_value": {"re": self.repr_value.real, "im": self.repr_value.imag},
-            "abs_error": self.abs_error,
-            "quad_error_estimate": self.quad_error_estimate,
-            "segments_evaluated": self.segments_evaluated,
-        }
-
-
 def _check_point(z) -> complex | np.ndarray:
     """Coerce to complex scalar/array and reject non-finite components."""
     if isinstance(z, np.ndarray) and z.ndim > 0:

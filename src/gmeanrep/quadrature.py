@@ -147,23 +147,21 @@ def _adaptive(f, lo: float, hi: float, spec: QuadratureSpec):
     vals, _, errs = _eval_panels(f, edges[:-1], edges[1:])
     panels = [[edges[i], edges[i + 1], vals[i], float(errs[i])] for i in range(_INITIAL_PANELS)]
     alive = [True] * _INITIAL_PANELS
-    heap = [(-panels[i][3], i, i) for i in range(_INITIAL_PANELS)]
+    heap = [(-panels[i][3], i) for i in range(_INITIAL_PANELS)]
     heapq.heapify(heap)
-    counter = _INITIAL_PANELS
 
     total_val = sum(p[2] for p in panels)
     total_err = sum(p[3] for p in panels)
     subdivisions = 0
     converged = True
-    while total_err > max(spec.abs_tol, spec.rel_tol * abs(total_val)):
-        if subdivisions >= spec.max_subdivisions:
+    while not total_err <= max(spec.abs_tol, spec.rel_tol * abs(total_val)):
+        # a nan or overflowed estimate can never certify the value
+        if not math.isfinite(total_err) or subdivisions >= spec.max_subdivisions:
             converged = False
             break
-        while heap and not alive[heap[0][2]]:
-            heapq.heappop(heap)
         if not heap:
             break
-        _, _, idx = heapq.heappop(heap)
+        _, idx = heapq.heappop(heap)
         plo, phi, pval, perr = panels[idx]
         mid = 0.5 * (plo + phi)
         if mid <= plo or mid >= phi:
@@ -174,8 +172,7 @@ def _adaptive(f, lo: float, hi: float, spec: QuadratureSpec):
         for plo2, phi2, v, e in ((plo, mid, v1, float(e1)), (mid, phi, v2, float(e2))):
             panels.append([plo2, phi2, v, e])
             alive.append(True)
-            heapq.heappush(heap, (-e, counter, len(panels) - 1))
-            counter += 1
+            heapq.heappush(heap, (-e, len(panels) - 1))
         total_val += v1 + v2 - pval
         total_err += e1 + e2 - perr
         subdivisions += 1
@@ -212,7 +209,8 @@ def integrate(f, lo: float, hi: float, spec: QuadratureSpec | None = None) -> Qu
     endpoints, then refined adaptively in the transformed variable.
 
     Never raises on non-convergence: when the subdivision budget is
-    exhausted the best available estimate is returned with
+    exhausted, or the error estimate stops being finite (an overflowed or
+    ``nan`` integrand value), the best available estimate is returned with
     ``converged=False``.
     """
     if spec is None:

@@ -55,7 +55,7 @@ class RemainderValue:
         }
 
 
-def _cut_distance(values: tuple[float, ...], z: complex) -> float:
+def _loaded_cut_distance(values: tuple[float, ...], z: complex) -> float:
     """Distance from z to the loaded cut portion [-max(values), -min(values)]."""
     lo, hi = -values[-1], -values[0]
     x = min(max(z.real, lo), hi)
@@ -80,7 +80,7 @@ def _remainder_raw(
     value = sum((c for _, c, _ in per), 0j)
     total_err = float(sum(e for _, _, e in per))
     if segs:
-        dist = _cut_distance(values, z)
+        dist = _loaded_cut_distance(values, z)
         if dist < _ILL_CONDITIONED:
             # cancellation in 1/(t+z) grows like 1/dist; surface it to callers
             total_err += np.finfo(float).eps / max(dist, 1e-300) * sum(
@@ -146,9 +146,12 @@ def shifted_excess_via_representation(
     return math.fsum(shifted) / a.n - rem.value
 
 
-def am_gm_gap(a: Sequence, spec: QuadratureSpec | None = None, density_scale: float = 1.0) -> float:
+def am_gm_gap(a: Sequence, spec: QuadratureSpec | None = None) -> float:
     """Arithmetic-minus-geometric gap via the representation at ``z = 0``.
 
     Nonnegative, and zero exactly when all entries coincide (no segments).
+
+    Raises:
+        QuadratureFailure: as :func:`remainder`.
     """
-    return remainder(a, 0.0, spec, density_scale).value.real
+    return remainder(a, 0.0, spec).value.real

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from gmeanrep import contour
+from gmeanrep.cli import EXIT_QUAD, main
 from gmeanrep.contour import (
     ContourSpec,
     GeometryError,
@@ -14,17 +16,15 @@ from gmeanrep.contour import (
     small_circle_term,
 )
 from gmeanrep.means import Sequence, arithmetic_mean, gmean_excess_shifted
+from gmeanrep.quadrature import QuadratureFailure, QuadratureResult
 
 
 class TestContourSpec:
     def test_defaults(self):
         spec = ContourSpec()
         assert spec.eps == 1e-3 and spec.r == 1e3
-        assert spec.points_per_arc == 512 and spec.points_per_line == 4096
 
-    @pytest.mark.parametrize(
-        "kwargs", [{"eps": 0.0}, {"eps": 2.0, "r": 1.0}, {"points_per_arc": 4}, {"points_per_line": 7}]
-    )
+    @pytest.mark.parametrize("kwargs", [{"eps": 0.0}, {"eps": 2.0, "r": 1.0}])
     def test_rejects_invalid(self, kwargs):
         with pytest.raises(ValueError):
             ContourSpec(**kwargs)
@@ -102,6 +102,14 @@ class TestPieces:
         with pytest.raises(GeometryError):
             big_circle_term(Sequence((1, 9)), 2.0 + 0j, 5.0)  # r <= max(a)
 
+    def test_arcs_match_fixed_gauss_rule(self):
+        # values of a 512-node composite 16-point Gauss rule on each arc
+        a, z = Sequence((1, 2, 3)), 1j
+        small = 8.492939802729341e-09 - 2.6044372399825905e-05j
+        outer = 1.0000000000000147 + 8.145611333335946e-15j
+        assert abs(small_circle_term(a, z, 1e-3) - small) <= 1e-10 * abs(small)
+        assert abs(big_circle_term(a, z, 1e3) - outer) <= 1e-10 * abs(outer)
+
     def test_line_integrand_reflection_symmetry(self):
         # for real z the lower-line integrand is the conjugate of the upper
         a, z, eps = Sequence((1, 2, 3)), 2.0 + 0j, 1e-3
@@ -153,3 +161,28 @@ class TestLineCollapse:
     def test_geometry_checked(self):
         with pytest.raises(GeometryError):
             line_collapse_check(Sequence((1, 2)), 1e-8 + 0j, 1e-6, 1e3)
+
+    def test_outer_radius_must_exceed_entries(self):
+        with pytest.raises(GeometryError):
+            line_collapse_check(Sequence((1, 9)), 2 + 0j, 1e-6, 5.0)
+
+
+class TestNonConvergence:
+    @pytest.fixture
+    def failing_lines(self, monkeypatch):
+        def unconverged(f, lo, hi, pole, spec=None):
+            return QuadratureResult(0.0, 1.0, 0, False)
+
+        monkeypatch.setattr(contour, "integrate_near_pole", unconverged)
+
+    def test_cauchy_eval_raises(self, failing_lines):
+        with pytest.raises(QuadratureFailure):
+            cauchy_eval(Sequence((1, 2)), 1.0 + 0j)
+
+    def test_line_collapse_raises(self, failing_lines):
+        with pytest.raises(QuadratureFailure):
+            line_collapse_check(Sequence((1, 2)), 1.0 + 0j, 1e-4, 1e3)
+
+    def test_cli_exit_code(self, failing_lines, capsys):
+        assert main(["contour", "--a", "1,2", "--z", "1"]) == EXIT_QUAD
+        assert "quadrature failure" in capsys.readouterr().err

@@ -109,6 +109,12 @@ class TestIntegrate:
         assert res.subdivisions_used == 4
         assert abs(res.value - math.pi / 8) <= 1e-6  # still a decent estimate
 
+    def test_nan_integrand_not_converged(self):
+        # a nan error estimate fails every tolerance comparison; it must not
+        # read as converged
+        res = integrate(lambda t: np.full_like(t, math.nan), 1.0, 2.0)
+        assert not res.converged
+
     def test_deterministic(self):
         r1 = integrate(lambda t: semicircle(t) / (t + 0.3), 1.0, 2.0)
         r2 = integrate(lambda t: semicircle(t) / (t + 0.3), 1.0, 2.0)

@@ -160,6 +160,13 @@ class TestAmGmGap:
             if a.max / a.min >= 1.1:
                 assert gap > 1e-6
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_range_raises(self):
+        # the tanh-sinh weight overflows on a segment this wide; the result
+        # must be a typed error, never a silent nan
+        with pytest.raises(QuadratureFailure):
+            am_gm_gap(Sequence((1e300, 1.7e308)))
+
 
 class TestStructuralProperties:
     def test_herglotz_positivity(self):
