@@ -276,7 +276,6 @@ def cmd_verify(args) -> int:
     if args.cases < 1:
         raise ValueError("--cases must be >= 1")
     fixed = parse_sequence(args.a) if args.a else None
-    spec = _quad_spec(args)
 
     def progress(res):
         status = "ok" if res.passed else f"{len(res.failures)} FAILURES"
@@ -288,7 +287,6 @@ def cmd_verify(args) -> int:
     report = run_suites(
         seed=args.seed,
         cases=args.cases,
-        quad=spec,
         perturb_density=args.perturb_density,
         fixed_sequence=fixed,
         progress=progress,
@@ -385,7 +383,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", default=None, help="pin the corpus to one sequence")
     p.add_argument("--perturb-density", type=float, default=0.0,
                    help="fault injection: scale densities by 1+x (must fail the equivalence suite)")
-    _add_tol_args(p)
     p.add_argument("--format", choices=("json", "csv", "table"), default="json")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_verify)

@@ -11,9 +11,11 @@ arithmetic-minus-geometric gap, which the nonnegative integrand keeps >= 0.
 ``z = 0`` needs no special handling: the integration variable stays >= min(a)
 > 0, so ``1/(t+z)`` is bounded for every ``re(z) > -min(a)``.  A segment that
 contains the pole projection ``-re(z)`` is split there once (see
-:func:`gmeanrep.quadrature.integrate_near_pole`), and within distance 1e-6 of
-the cut the result is still computed but flagged as ill-conditioned through
-an inflated error estimate.
+:func:`gmeanrep.quadrature.integrate_near_pole`).  Within 1e-6 of the loaded
+cut the error estimate grows by ``eps / distance`` times the value, flagging
+the point; closer than about 1e-8 calls raise ``QuadratureFailure``, and below
+about 1e-20 they may return garbage flagged only by that estimate (README
+"Numerical notes").
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boundary import _segments_raw
-from .means import CutViolation, Sequence, _check_cut, _check_point
+from .means import Sequence, _check_cut, _check_point
 from .quadrature import QuadratureFailure, QuadratureSpec, integrate_near_pole
 
 # below this distance results are flagged ill-conditioned

@@ -1,13 +1,12 @@
 """Batch verification suites: every library invariant, run over seeded corpora.
 
-Each suite draws its own deterministic random stream from the master seed, so
-reports are byte-identical across runs for a fixed configuration.  Expensive
-suites cap their case counts (documented per suite below); the headline
-representation-equivalence suite always runs the full requested count.
-
-The ``density_scale`` knob is fault injection: scaling the densities by
-``1 + x`` must break the representation-equivalence suite, proving the
-harness can fail.
+Each invariant's contracts and tolerances are written once, in its suite, and
+every suite integrates under the one ``QuadratureSpec()``, so no option moves
+a bound.  :func:`run_suite` runs one suite on a given generator and case count
+(the tests call it); :func:`run_suites`, behind ``gmeanrep verify``, runs all
+of them on per-suite substreams of the master seed, with the case caps of
+``_SUITES``, so reports are byte-identical across runs.  ``perturb_density``
+is fault injection: it must break the representation-equivalence suite.
 """
 
 from __future__ import annotations
@@ -32,6 +31,9 @@ from .means import (
 from .quadrature import QuadratureSpec, integrate, kronrod_panel
 
 _EPS = float(np.finfo(float).eps)
+
+# every suite's one quadrature configuration; mass-identity's bound derives from it
+_QUAD = QuadratureSpec()
 
 
 @dataclass
@@ -69,7 +71,6 @@ class VerifyReport:
     cases: int
     perturb_density: float
     suites: list[SuiteResult]
-    wall_time: float
 
     @property
     def passed(self) -> bool:
@@ -294,13 +295,12 @@ def _suite_boundary_scaling(rng, cases, ctx, res: SuiteResult):
 
 
 def _suite_mass_identity(rng, cases, ctx, res: SuiteResult):
-    spec = ctx["quad"]
     for _ in range(cases):
         a = random_sequence(rng)
-        m0 = boundary.density_moment(a, 0, spec)
+        m0 = boundary.density_moment(a, 0, _QUAD)
         am = arithmetic_mean(a)
         var_half = (math.fsum(v * v for v in a.values) / a.n - am * am) / 2.0
-        tol = 10.0 * max(spec.abs_tol, spec.rel_tol * abs(m0)) + 1e-13
+        tol = 10.0 * max(_QUAD.abs_tol, _QUAD.rel_tol * abs(m0)) + 1e-13
         err = abs(m0 - var_half)
         res.record(err)
         if err > tol:
@@ -330,7 +330,7 @@ def _suite_quad_polynomial_exactness(rng, cases, ctx, res: SuiteResult):
     res.cases_run = 23
 
 
-def _random_segment_integrand(rng, ctx):
+def _random_segment_integrand(rng):
     while True:
         a = random_sequence(rng)
         segs = boundary.segments(a)
@@ -350,16 +350,15 @@ def _random_segment_integrand(rng, ctx):
 
 
 def _suite_quad_error_honesty(rng, cases, ctx, res: SuiteResult):
-    spec = ctx["quad"]
     tight = QuadratureSpec(
-        abs_tol=spec.abs_tol / 10.0,
-        rel_tol=spec.rel_tol / 10.0,
-        max_subdivisions=spec.max_subdivisions * 4,
+        abs_tol=_QUAD.abs_tol / 10.0,
+        rel_tol=_QUAD.rel_tol / 10.0,
+        max_subdivisions=_QUAD.max_subdivisions * 4,
     )
     honest = 0
     for _ in range(cases):
-        f, seg = _random_segment_integrand(rng, ctx)
-        est = integrate(f, seg.lo, seg.hi, spec)
+        f, seg = _random_segment_integrand(rng)
+        est = integrate(f, seg.lo, seg.hi, _QUAD)
         ref = integrate(f, seg.lo, seg.hi, tight)
         true_err = abs(est.value - ref.value)
         if true_err == 0.0 or true_err <= 10.0 * est.error_estimate:
@@ -370,13 +369,12 @@ def _suite_quad_error_honesty(rng, cases, ctx, res: SuiteResult):
 
 
 def _suite_quad_additivity(rng, cases, ctx, res: SuiteResult):
-    spec = ctx["quad"]
     for _ in range(cases):
-        f, seg = _random_segment_integrand(rng, ctx)
+        f, seg = _random_segment_integrand(rng)
         m = float(rng.uniform(seg.lo, seg.hi))
-        whole = integrate(f, seg.lo, seg.hi, spec)
-        left = integrate(f, seg.lo, m, spec)
-        right = integrate(f, m, seg.hi, spec)
+        whole = integrate(f, seg.lo, seg.hi, _QUAD)
+        left = integrate(f, seg.lo, m, _QUAD)
+        right = integrate(f, m, seg.hi, _QUAD)
         gap = abs(whole.value - left.value - right.value)
         budget = whole.error_estimate + left.error_estimate + right.error_estimate + 1e-13
         res.record(gap)
@@ -385,17 +383,16 @@ def _suite_quad_additivity(rng, cases, ctx, res: SuiteResult):
 
 
 def _suite_quad_affine_covariance(rng, cases, ctx, res: SuiteResult):
-    spec = ctx["quad"]
     for _ in range(cases):
-        f, seg = _random_segment_integrand(rng, ctx)
+        f, seg = _random_segment_integrand(rng)
         alpha = 10.0 ** rng.uniform(-1.0, 1.0)
         beta = float(rng.uniform(-2.0, 2.0))
-        direct = integrate(f, seg.lo, seg.hi, spec)
+        direct = integrate(f, seg.lo, seg.hi, _QUAD)
         mapped = integrate(
             lambda s, f=f: f(alpha * s + beta) * alpha,
             (seg.lo - beta) / alpha,
             (seg.hi - beta) / alpha,
-            spec,
+            _QUAD,
         )
         gap = abs(direct.value - mapped.value)
         budget = direct.error_estimate + mapped.error_estimate + 1e-12
@@ -405,13 +402,12 @@ def _suite_quad_affine_covariance(rng, cases, ctx, res: SuiteResult):
 
 
 def _suite_representation_equivalence(rng, cases, ctx, res: SuiteResult):
-    spec = ctx["quad"]
     scale = 1.0 + ctx["perturb_density"]
     for _ in range(cases):
         a = ctx["fixed"] or random_sequence(rng)
         for z in representation_z_grid(a):
             direct = principal_gmean(a, z)
-            via = representation.gmean_via_representation(a, z, spec, density_scale=scale)
+            via = representation.gmean_via_representation(a, z, _QUAD, density_scale=scale)
             err = abs(via - direct)
             res.record(err)
             if err > max(1e-8, 1e-8 * abs(direct)):
@@ -419,10 +415,9 @@ def _suite_representation_equivalence(rng, cases, ctx, res: SuiteResult):
 
 
 def _suite_am_gm_gap(rng, cases, ctx, res: SuiteResult):
-    spec = ctx["quad"]
     for _ in range(cases):
         a = ctx["fixed"] or random_sequence(rng)
-        gap = representation.am_gm_gap(a, spec)
+        gap = representation.am_gm_gap(a, _QUAD)
         direct = arithmetic_mean(a) - geometric_mean(a)
         res.record(abs(gap - direct))
         if gap < -1e-10:
@@ -447,13 +442,12 @@ def _suite_herglotz_positivity(rng, cases, ctx, res: SuiteResult):
 
 
 def _suite_complete_monotonicity(rng, cases, ctx, res: SuiteResult):
-    spec = ctx["quad"]
     step = 0.1
     for _ in range(cases):
         a = random_sequence(rng)
         for delta in np.geomspace(0.1, a.min + 1e3, 8):
             z0 = -a.min + float(delta)
-            vals = [representation.remainder(a, z0 + k * step, spec).value.real for k in range(5)]
+            vals = [representation.remainder(a, z0 + k * step, _QUAD).value.real for k in range(5)]
             for m in range(5):
                 diff = math.fsum((-1.0) ** (m - j) * comb(m, j) * vals[j] for j in range(m + 1))
                 signed = (-1.0) ** m * diff
@@ -463,26 +457,24 @@ def _suite_complete_monotonicity(rng, cases, ctx, res: SuiteResult):
 
 
 def _suite_monotone_decrease(rng, cases, ctx, res: SuiteResult):
-    spec = ctx["quad"]
     for _ in range(cases):
         a = random_sequence(rng)
         if a.max == a.min:
             continue
         z1 = -a.min + 10.0 ** rng.uniform(-1.0, 2.0)
         z2 = z1 + 10.0 ** rng.uniform(-1.0, 1.0)
-        r1 = representation.remainder(a, z1, spec).value.real
-        r2 = representation.remainder(a, z2, spec).value.real
+        r1 = representation.remainder(a, z1, _QUAD).value.real
+        r2 = representation.remainder(a, z2, _QUAD).value.real
         res.record(max(0.0, r2 - r1))
         if not r2 < r1 + 1e-10:
             res.fail((a.values, z1, z2), "remainder strictly decreasing on the real axis", (r1, r2))
 
 
 def _suite_large_z_decay(rng, cases, ctx, res: SuiteResult):
-    spec = ctx["quad"]
     for _ in range(cases):
         a = random_sequence(rng)
         am = arithmetic_mean(a)
-        m0 = boundary.density_moment(a, 0, spec)
+        m0 = boundary.density_moment(a, 0, _QUAD)
         for big in (1e3, 1e4, 1e5):
             dev = abs(gmean_excess(a, complex(big, 0.0)) - am)
             bound = m0 / big * 1.01 + 64.0 * _EPS * (big + am)
@@ -536,11 +528,10 @@ def _suite_contour_reconstruction(rng, cases, ctx, res: SuiteResult):
 
 
 def _suite_contour_line_collapse(rng, cases, ctx, res: SuiteResult):
-    spec = ctx["quad"]
     for _ in range(cases):
         a, z = _contour_case(rng)
-        d4 = abs(np.subtract(*contour.line_collapse_check(a, z, 1e-4, 1e3, spec)))
-        d6 = abs(np.subtract(*contour.line_collapse_check(a, z, 1e-6, 1e3, spec)))
+        d4 = abs(np.subtract(*contour.line_collapse_check(a, z, 1e-4, 1e3, _QUAD)))
+        d6 = abs(np.subtract(*contour.line_collapse_check(a, z, 1e-6, 1e3, _QUAD)))
         res.record(d6)
         if d4 > 1e-3 or d6 > 1e-3:
             res.fail((a.values, z), "line sum within 1e-3 of collapsed cut integral", (d4, d6))
@@ -549,7 +540,6 @@ def _suite_contour_line_collapse(rng, cases, ctx, res: SuiteResult):
 
 
 def _suite_contour_limit_attribution(rng, cases, ctx, res: SuiteResult):
-    spec = ctx["quad"]
     for _ in range(cases):
         a, z = _contour_case(rng)
         shifted_mean = arithmetic_mean(a) - a.min
@@ -558,7 +548,7 @@ def _suite_contour_limit_attribution(rng, cases, ctx, res: SuiteResult):
         res.record(err_arc)
         if err_arc > 1e-6:
             res.fail((a.values, z), "outer arc reproduces the rebased arithmetic mean", err_arc)
-        lines, collapsed = contour.line_collapse_check(a, z, 1e-4, 1e3, spec)
+        lines, collapsed = contour.line_collapse_check(a, z, 1e-4, 1e3, _QUAD)
         if abs(lines - collapsed) > 1e-3:
             res.fail((a.values, z), "lines reproduce the cut-density integral within 1e-3", abs(lines - collapsed))
 
@@ -573,79 +563,80 @@ def _suite_small_circle_vanishing(rng, cases, ctx, res: SuiteResult):
             res.fail((a.values, z), "small-arc magnitude strictly decreasing in eps", mags)
 
 
-# name, callable, case cap (None = full requested count)
-_SUITES: list[tuple[str, Callable, int | None]] = [
-    ("branch-consistency", _suite_branch_consistency, None),
-    ("real-positivity", _suite_real_positivity, None),
-    ("schwarz-reflection", _suite_schwarz_reflection, None),
-    ("small-z-vanishing", _suite_small_z_vanishing, 100),
-    ("homogeneity", _suite_homogeneity, None),
-    ("permutation-invariance", _suite_permutation_invariance, None),
-    ("boundary-limit", _suite_boundary_limit, 50),
-    ("boundary-endpoints", _suite_boundary_endpoints, 100),
-    ("boundary-nonnegative", _suite_boundary_nonnegative, 100),
-    ("boundary-scaling", _suite_boundary_scaling, 100),
-    ("mass-identity", _suite_mass_identity, 100),
-    ("quad-polynomial-exactness", _suite_quad_polynomial_exactness, 1),
-    ("quad-error-honesty", _suite_quad_error_honesty, 200),
-    ("quad-additivity", _suite_quad_additivity, 100),
-    ("quad-affine-covariance", _suite_quad_affine_covariance, 100),
-    ("representation-equivalence", _suite_representation_equivalence, None),
-    ("am-gm-gap", _suite_am_gm_gap, None),
-    ("herglotz-positivity", _suite_herglotz_positivity, 25),
-    ("complete-monotonicity", _suite_complete_monotonicity, 25),
-    ("monotone-decrease", _suite_monotone_decrease, 50),
-    ("large-z-decay", _suite_large_z_decay, 100),
-    ("contour-decomposition", _suite_contour_decomposition, 5),
-    ("contour-reconstruction", _suite_contour_reconstruction, 20),
-    ("contour-line-collapse", _suite_contour_line_collapse, 8),
-    ("contour-limit-attribution", _suite_contour_limit_attribution, 8),
-    ("small-circle-vanishing", _suite_small_circle_vanishing, 8),
-]
+# name -> (callable, case cap under run_suites; None = full requested count)
+_SUITES: dict[str, tuple[Callable, int | None]] = {
+    "branch-consistency": (_suite_branch_consistency, None),
+    "real-positivity": (_suite_real_positivity, None),
+    "schwarz-reflection": (_suite_schwarz_reflection, None),
+    "small-z-vanishing": (_suite_small_z_vanishing, 100),
+    "homogeneity": (_suite_homogeneity, None),
+    "permutation-invariance": (_suite_permutation_invariance, None),
+    "boundary-limit": (_suite_boundary_limit, 50),
+    "boundary-endpoints": (_suite_boundary_endpoints, 100),
+    "boundary-nonnegative": (_suite_boundary_nonnegative, 100),
+    "boundary-scaling": (_suite_boundary_scaling, 100),
+    "mass-identity": (_suite_mass_identity, 100),
+    "quad-polynomial-exactness": (_suite_quad_polynomial_exactness, 1),
+    "quad-error-honesty": (_suite_quad_error_honesty, 200),
+    "quad-additivity": (_suite_quad_additivity, 100),
+    "quad-affine-covariance": (_suite_quad_affine_covariance, 100),
+    "representation-equivalence": (_suite_representation_equivalence, None),
+    "am-gm-gap": (_suite_am_gm_gap, None),
+    "herglotz-positivity": (_suite_herglotz_positivity, 25),
+    "complete-monotonicity": (_suite_complete_monotonicity, 25),
+    "monotone-decrease": (_suite_monotone_decrease, 50),
+    "large-z-decay": (_suite_large_z_decay, 100),
+    "contour-decomposition": (_suite_contour_decomposition, 5),
+    "contour-reconstruction": (_suite_contour_reconstruction, 20),
+    "contour-line-collapse": (_suite_contour_line_collapse, 8),
+    "contour-limit-attribution": (_suite_contour_limit_attribution, 8),
+    "small-circle-vanishing": (_suite_small_circle_vanishing, 8),
+}
 
 
-def suite_names() -> list[str]:
-    return [name for name, _, _ in _SUITES]
+def run_suite(
+    name: str,
+    rng: np.random.Generator,
+    cases: int,
+    perturb_density: float = 0.0,
+    fixed_sequence: Sequence | None = None,
+) -> SuiteResult:
+    """Run the suite ``name`` over ``cases`` instances drawn from ``rng``.
+
+    The suite's case cap does not apply here; :func:`run_suites` applies it.
+    ``perturb_density`` and ``fixed_sequence`` are as in :func:`run_suites`.
+    """
+    fn, _ = _SUITES[name]
+    ctx = {"perturb_density": perturb_density, "fixed": fixed_sequence}
+    res = SuiteResult(suite=name, cases_run=cases)
+    t0 = time.perf_counter()
+    fn(rng, cases, ctx, res)
+    res.wall_time = time.perf_counter() - t0
+    return res
 
 
 def run_suites(
     seed: int,
     cases: int,
-    quad: QuadratureSpec | None = None,
     perturb_density: float = 0.0,
     fixed_sequence: Sequence | None = None,
     progress: Callable[[SuiteResult], None] | None = None,
 ) -> VerifyReport:
-    """Run every suite over ``cases`` instances drawn from ``seed``.
+    """Run every suite through :func:`run_suite` on its own substream of
+    ``seed``, over ``cases`` instances or the suite's cap if smaller.
 
-    ``fixed_sequence`` pins the corpus of the representation-equivalence and
-    am-gm-gap suites to one given sequence; those suites then draw nothing
-    from their random stream.  Pinned and random runs stay reproducible
-    alike because every suite draws from its own substream of ``seed``.
+    ``perturb_density`` scales the densities of the representation-equivalence
+    suite by ``1 + perturb_density``.  ``fixed_sequence`` pins the corpus of
+    the representation-equivalence and am-gm-gap suites to one sequence; they
+    then draw nothing.  ``progress`` gets each suite's result as it finishes.
     """
     if cases < 1:
         raise ValueError("cases must be >= 1")
-    ctx = {
-        "quad": quad or QuadratureSpec(),
-        "perturb_density": perturb_density,
-        "fixed": fixed_sequence,
-    }
-    t_start = time.perf_counter()
     results = []
-    for idx, (name, fn, cap) in enumerate(_SUITES):
-        rng = np.random.default_rng([seed, idx])
+    for idx, (name, (_, cap)) in enumerate(_SUITES.items()):
         n = cases if cap is None else min(cases, cap)
-        res = SuiteResult(suite=name, cases_run=n)
-        t0 = time.perf_counter()
-        fn(rng, n, ctx, res)
-        res.wall_time = time.perf_counter() - t0
+        res = run_suite(name, np.random.default_rng([seed, idx]), n, perturb_density, fixed_sequence)
         results.append(res)
         if progress is not None:
             progress(res)
-    return VerifyReport(
-        seed=seed,
-        cases=cases,
-        perturb_density=perturb_density,
-        suites=results,
-        wall_time=time.perf_counter() - t_start,
-    )
+    return VerifyReport(seed=seed, cases=cases, perturb_density=perturb_density, suites=results)

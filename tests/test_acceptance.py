@@ -7,29 +7,25 @@ failure).  Run the whole gate with ``pytest tests/test_acceptance.py -v``.
 import math
 import subprocess
 import sys
-import time
 from math import comb
 
 import numpy as np
-import pytest
 
-from gmeanrep.boundary import boundary_imag_limit, boundary_imag_numeric, density_moment
-from gmeanrep.contour import ContourSpec, cauchy_eval
+from gmeanrep.boundary import density_moment
 from gmeanrep.means import (
     Sequence,
     arithmetic_mean,
-    geometric_mean,
     gmean_excess_shifted,
     principal_gmean,
 )
-from gmeanrep.representation import am_gm_gap, remainder
+from gmeanrep.representation import remainder
 from gmeanrep.verify import (
     random_sequence,
     representation_z_grid,
     stable_large_z_deficit,
 )
 
-from conftest import ACCEPTANCE_SEED
+from conftest import ACCEPTANCE_SEED, seeded_suite
 
 GAP_12 = 0.08578643762690495  # 3/2 - sqrt(2)
 
@@ -42,83 +38,37 @@ def report(number: int, label: str, ok: bool, detail: str = "") -> bool:
 
 
 def test_criterion_1_representation_equivalence(corpus_200):
-    t0 = time.perf_counter()
-    worst = 0.0
-    evaluations = 0
-    for a in corpus_200:
-        grid = representation_z_grid(a)
-        assert len(grid) == 40
-        for z in grid:
-            direct = principal_gmean(a, z)
-            via = arithmetic_mean(a) + z - remainder(a, z).value
-            err = abs(via - direct)
-            worst = max(worst, err / max(1.0, abs(direct)))
-            evaluations += 1
-            assert err <= max(1e-8, 1e-8 * abs(direct)), (a.values, z, err)
-    elapsed = time.perf_counter() - t0
-    ok = evaluations == 200 * 40 and elapsed <= 60.0
+    assert all(len(representation_z_grid(a)) == 40 for a in corpus_200)
+    res = seeded_suite("representation-equivalence", ACCEPTANCE_SEED, 200)
     assert report(
         1,
         "representation matches direct evaluation to 1e-8 on 200x40 points",
-        ok,
-        f"max scaled err {worst:.2e}, {elapsed:.1f}s",
-    )
+        res.passed and res.wall_time <= 60.0,
+        f"max err {res.max_error:.2e}, {res.wall_time:.1f}s",
+    ), res.failures[:3]
 
 
 def test_criterion_2_am_gm_inequality(corpus_200):
-    n_constant = n_spread = 0
-    worst_gap = 0.0
-    for a in corpus_200:
-        gap = am_gm_gap(a)
-        direct = arithmetic_mean(a) - geometric_mean(a)
-        assert gap >= -1e-10, a.values
-        assert abs(gap - direct) <= 1e-9, a.values
-        if a.max == a.min:
-            n_constant += 1
-            assert abs(gap) <= 1e-9, a.values
-        if a.max / a.min >= 1.1:
-            n_spread += 1
-            assert gap > 1e-6, a.values
-        worst_gap = min(worst_gap, gap)
-    ok = n_constant > 0 and n_spread > 0
+    res = seeded_suite("am-gm-gap", ACCEPTANCE_SEED, 200)
+    n_constant = sum(a.max == a.min for a in corpus_200)
+    n_spread = sum(a.max / a.min >= 1.1 for a in corpus_200)
     assert report(
         2,
         "gap nonnegative, zero for constants, strictly positive for spread entries",
-        ok,
-        f"{n_constant} constant / {n_spread} spread instances, min gap {worst_gap:.1e}",
-    )
+        res.passed and n_constant > 0 and n_spread > 0,
+        f"{n_constant} constant / {n_spread} spread instances, "
+        f"max |gap - (A - G)| {res.max_error:.1e}",
+    ), res.failures[:3]
 
 
 def test_criterion_3_boundary_limit():
-    rng = np.random.default_rng([ACCEPTANCE_SEED, 3])
-    improved = total = 0
-    worst = 0.0
-    for _ in range(50):
-        a = random_sequence(rng)
-        shifted = a.shifted()
-        pairs = 0
-        attempts = 0
-        while pairs < 50 and attempts < 2000:
-            attempts += 1
-            t = float(rng.uniform(1e-2, shifted[-1] + 1.0))
-            if any(abs(t - s) < 1e-2 for s in shifted):
-                continue
-            pairs += 1
-            closed = boundary_imag_limit(a, t)
-            e6 = abs(boundary_imag_numeric(a, t, 1e-6) - closed)
-            e8 = abs(boundary_imag_numeric(a, t, 1e-8) - closed)
-            worst = max(worst, e6)
-            assert e6 <= 1e-3, (a.values, t, e6)
-            total += 1
-            improved += bool(e8 < e6 or e8 <= 1e-12)
-    frac = improved / total
+    res = seeded_suite("boundary-limit", [ACCEPTANCE_SEED, 3], 50)
     assert report(
         3,
         "boundary limit within 1e-3 at eps=1e-6 and improving at eps=1e-8",
-        frac >= 0.95,
-        f"improvement fraction {frac:.3f}, worst err {worst:.1e} over {total} pairs",
-    )
-    assert frac >= 0.95
+        res.passed,
+        f"worst err {res.max_error!r}",
+    ), res.failures[:3]
 
 
 def test_criterion_4_mass_identity():
@@ -146,39 +96,14 @@ def test_criterion_4_mass_identity():
     )
 
 
-def _contour_cases(count: int):
-    rng = np.random.default_rng([ACCEPTANCE_SEED, 5])
-    out = []
-    while len(out) < count:
-        a = random_sequence(rng)
-        for _ in range(64):
-            rad = 10.0 ** rng.uniform(-0.3, 1.0)
-            th = float(rng.uniform(-2.6, 2.6))
-            z = rad * complex(math.cos(th), math.sin(th))
-            if z.real > 0.0 or abs(z.imag) > 0.2:
-                out.append((a, z))
-                break
-    return out
-
-
 def test_criterion_5_contour_reconstruction():
-    base_spec = ContourSpec()
-    fine_spec = ContourSpec(eps=base_spec.eps / 2.0, r=base_spec.r * 2.0)
-    max_base = max_fine = 0.0
-    for a, z in _contour_cases(20):
-        target = gmean_excess_shifted(a, z)
-        err_base = abs(cauchy_eval(a, z, base_spec).total - target)
-        err_fine = abs(cauchy_eval(a, z, fine_spec).total - target)
-        assert err_base <= 1e-3, (a.values, z, err_base)
-        max_base = max(max_base, err_base)
-        max_fine = max(max_fine, err_fine)
-    ok = max_fine < max_base
+    res = seeded_suite("contour-reconstruction", [ACCEPTANCE_SEED, 5], 20)
     assert report(
         5,
         "contour total within 1e-3; halving eps and doubling r reduces max error",
-        ok,
-        f"max err {max_base:.2e} -> {max_fine:.2e}",
-    )
+        res.passed,
+        f"max err at defaults {res.max_error!r}",
+    ), res.failures[:3]
 
 
 def test_criterion_6_two_entry_closed_forms():

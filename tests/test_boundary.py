@@ -15,6 +15,8 @@ from gmeanrep.boundary import (
 )
 from gmeanrep.means import Sequence, arithmetic_mean
 
+from conftest import seeded_suite
+
 
 class TestSegments:
     def test_constant_sequence_has_none(self):
@@ -83,11 +85,7 @@ class TestBoundaryLimit:
             boundary_imag_limit(Sequence((1, 2)), t)
 
     def test_nonnegative_everywhere(self):
-        rng = np.random.default_rng(32)
-        for _ in range(50):
-            a = Sequence(10.0 ** rng.uniform(-1, 1, int(rng.integers(1, 9))))
-            for _ in range(50):
-                assert boundary_imag_limit(a, float(rng.uniform(1e-6, 12.0))) >= 0.0
+        assert seeded_suite("boundary-nonnegative", 32, 50).passed
 
     def test_scaling_covariance(self):
         rng = np.random.default_rng(33)
@@ -117,22 +115,7 @@ class TestBoundaryNumeric:
         assert vals[0] > vals[1] > vals[2]
 
     def test_eps_refinement_improves(self):
-        rng = np.random.default_rng(34)
-        improved = total = 0
-        for _ in range(20):
-            a = Sequence(10.0 ** rng.uniform(-1, 1, int(rng.integers(2, 9))))
-            shifted = a.shifted()
-            for _ in range(50):
-                t = float(rng.uniform(1e-2, shifted[-1] + 1.0))
-                if any(abs(t - s) < 1e-2 for s in shifted):
-                    continue
-                closed = boundary_imag_limit(a, t)
-                e6 = abs(boundary_imag_numeric(a, t, 1e-6) - closed)
-                e8 = abs(boundary_imag_numeric(a, t, 1e-8) - closed)
-                assert e6 <= 1e-3
-                total += 1
-                improved += bool(e8 < e6 or e8 <= 1e-12)
-        assert improved / total >= 0.95
+        assert seeded_suite("boundary-limit", 34, 20).passed
 
     def test_invalid_arguments(self):
         with pytest.raises(DomainError):

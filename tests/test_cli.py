@@ -226,6 +226,12 @@ class TestVerifyCommand:
         code, out, _ = run(capsys, "verify", "--seed", "7", "--cases", "1", "--format", "table")
         assert "overall: pass" in out
 
+    def test_no_tolerance_flags(self, capsys):
+        # suites use one quadrature configuration; no flag moves their bounds
+        for flag in ("--abs-tol", "--rel-tol"):
+            code, _, _ = run(capsys, "verify", "--cases", "1", flag, "1e-6")
+            assert code == EXIT_CONFIG
+
 
 class TestOutput:
     def test_out_file(self, tmp_path, capsys):

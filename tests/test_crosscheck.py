@@ -5,13 +5,11 @@ mpmath evaluations.  Neither package is a dependency of the library; the
 module skips where they are unavailable.
 """
 
-import math
-
 import numpy as np
 import pytest
 
 from gmeanrep.boundary import segments
-from gmeanrep.means import Sequence, principal_gmean
+from gmeanrep.means import principal_gmean
 from gmeanrep.quadrature import integrate
 from gmeanrep.representation import remainder
 from gmeanrep.verify import random_sequence

@@ -16,6 +16,8 @@ from gmeanrep.quadrature import (
     kronrod_panel,
 )
 
+from conftest import seeded_suite
+
 # frozen with a 40-digit independent quadrature of sqrt((t-1)(2-t))/t on [1,2]
 WEIGHTED_SEMICIRCLE = 0.26950604222632361
 LOG_RATIO = 0.51082562376599068  # ln(2.5/1.5)
@@ -45,19 +47,9 @@ class TestSpec:
 
 
 class TestBaseRule:
-    def test_polynomial_exactness_kronrod(self):
-        # design degree of the 15-point rule is 22
-        for deg in range(23):
-            exact = 1.0 / (deg + 1)
-            k, _, _ = kronrod_panel(lambda t, d=deg: t**d, 0.0, 1.0)
-            assert abs(k - exact) <= 1e-13 * exact, f"degree {deg}"
-
-    def test_polynomial_exactness_gauss(self):
-        # embedded 7-point Gauss rule is exact through degree 13
-        for deg in range(14):
-            exact = 1.0 / (deg + 1)
-            _, g, _ = kronrod_panel(lambda t, d=deg: t**d, 0.0, 1.0)
-            assert abs(g - exact) <= 1e-13 * exact, f"degree {deg}"
+    def test_polynomial_exactness(self):
+        # Kronrod through its design degree 22, embedded Gauss through 13
+        assert seeded_suite("quad-polynomial-exactness", 0, 1).passed
 
     def test_degree_14_breaks_gauss_not_kronrod(self):
         exact = 1.0 / 15
@@ -132,27 +124,10 @@ class TestIntegrate:
         assert abs(res.value - oracle) <= 1e-11
 
     def test_additivity(self):
-        rng = np.random.default_rng(21)
-        f = lambda t: semicircle(t) / (t + 0.7)
-        for _ in range(20):
-            m = float(rng.uniform(1.0, 2.0))
-            whole = integrate(f, 1.0, 2.0)
-            left = integrate(f, 1.0, m)
-            right = integrate(f, m, 2.0)
-            budget = whole.error_estimate + left.error_estimate + right.error_estimate + 1e-13
-            assert abs(whole.value - left.value - right.value) <= budget
+        assert seeded_suite("quad-additivity", 21, 20).passed
 
     def test_affine_covariance(self):
-        alpha, beta = 2.5, -0.75
-        direct = integrate(semicircle, 1.0, 2.0)
-        mapped = integrate(
-            lambda s: semicircle(alpha * s + beta) * alpha,
-            (1.0 - beta) / alpha,
-            (2.0 - beta) / alpha,
-        )
-        assert abs(direct.value - mapped.value) <= (
-            direct.error_estimate + mapped.error_estimate + 1e-12
-        )
+        assert seeded_suite("quad-affine-covariance", 21, 20).passed
 
     def test_error_estimate_honesty(self):
         # true error (vs a 10x tighter rerun) within 10x the estimate, >= 95%
@@ -180,8 +155,7 @@ class TestIntegrate:
             return replace(res, value=res.value + 1e-6) if s == spec else res
 
         monkeypatch.setattr(verify, "integrate", lying)
-        res = verify.SuiteResult(suite="quad-error-honesty", cases_run=10)
-        verify._suite_quad_error_honesty(np.random.default_rng(23), 10, {"quad": spec}, res)
+        res = seeded_suite("quad-error-honesty", 23, 10)
         assert not res.passed
         (failure,) = res.failures
         assert failure["case"] == "aggregate" and float(failure["observed"]) == 0.0

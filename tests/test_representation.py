@@ -1,18 +1,16 @@
 """Integral-representation layer: remainder transform and derived quantities."""
 
 import math
-from math import comb
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from gmeanrep.boundary import density_moment
+from gmeanrep import representation
 from gmeanrep.means import (
     CutViolation,
     Sequence,
     arithmetic_mean,
-    geometric_mean,
-    gmean_excess,
     gmean_excess_shifted,
     principal_gmean,
 )
@@ -24,7 +22,9 @@ from gmeanrep.representation import (
     remainder,
     shifted_excess_via_representation,
 )
-from gmeanrep.verify import random_sequence, representation_z_grid
+from gmeanrep.verify import random_sequence
+
+from conftest import seeded_suite
 
 GAP_12 = 0.08578643762690495  # 3/2 - sqrt(2), frozen at 40 digits
 REM_123_AT_1 = 0.11550085938518324  # 3 - 24**(1/3), frozen at 40 digits
@@ -99,13 +99,7 @@ class TestGmeanViaRepresentation:
         assert abs(gmean_via_representation(a, 2 + 3j) - principal_gmean(a, 2 + 3j)) <= 1e-8
 
     def test_matches_direct_on_seeded_corpus(self):
-        rng = np.random.default_rng(41)
-        for _ in range(30):
-            a = random_sequence(rng)
-            for z in representation_z_grid(a):
-                direct = principal_gmean(a, z)
-                via = gmean_via_representation(a, z)
-                assert abs(via - direct) <= max(1e-8, 1e-8 * abs(direct)), (a.values, z)
+        assert seeded_suite("representation-equivalence", 41, 30).passed
 
 
 class TestShiftedExcessViaRepresentation:
@@ -148,17 +142,13 @@ class TestAmGmGap:
         assert abs(am_gm_gap(Sequence((1, 2, 3))) - GAP_123) <= 1e-8
 
     def test_corpus_properties(self):
-        rng = np.random.default_rng(44)
-        for _ in range(50):
-            a = random_sequence(rng)
-            gap = am_gm_gap(a)
-            direct = arithmetic_mean(a) - geometric_mean(a)
-            assert gap >= -1e-10
-            assert abs(gap - direct) <= 1e-9
-            if a.max == a.min:
-                assert abs(gap) <= 1e-9
-            if a.max / a.min >= 1.1:
-                assert gap > 1e-6
+        assert seeded_suite("am-gm-gap", 44, 50).passed
+
+    def test_corpus_properties_suite_can_fail(self, monkeypatch):
+        exact = representation.am_gm_gap
+        monkeypatch.setattr(representation, "am_gm_gap", lambda a, spec=None: exact(a, spec) + 1e-6)
+        contracts = [f["contract"] for f in seeded_suite("am-gm-gap", 44, 50).failures]
+        assert contracts.count("representation gap matches direct A - G within 1e-9") == 50
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_range_raises(self):
@@ -170,42 +160,30 @@ class TestAmGmGap:
 
 class TestStructuralProperties:
     def test_herglotz_positivity(self):
-        rng = np.random.default_rng(45)
-        for _ in range(100):
-            a = random_sequence(rng)
-            z = complex(rng.uniform(-20, 20), 10.0 ** rng.uniform(-3, 1.5))
-            assert gmean_excess_shifted(a, z).imag >= -1e-10
+        assert seeded_suite("herglotz-positivity", 45, 100).passed
 
     def test_complete_monotonicity(self):
-        rng = np.random.default_rng(46)
-        for _ in range(5):
-            a = random_sequence(rng)
-            for delta in np.geomspace(0.1, a.min + 1e3, 6):
-                vals = [remainder(a, -a.min + float(delta) + 0.1 * k).value.real for k in range(5)]
-                for m in range(5):
-                    diff = math.fsum((-1.0) ** (m - j) * comb(m, j) * vals[j] for j in range(m + 1))
-                    assert (-1.0) ** m * diff >= -1e-8
+        assert seeded_suite("complete-monotonicity", 46, 5).passed
 
     def test_monotone_decrease(self):
-        rng = np.random.default_rng(47)
-        for _ in range(20):
-            a = random_sequence(rng)
-            if a.max == a.min:
-                continue
-            z1 = -a.min + 10.0 ** rng.uniform(-1, 2)
-            z2 = z1 + 10.0 ** rng.uniform(-1, 1)
-            assert remainder(a, z2).value.real < remainder(a, z1).value.real + 1e-10
+        assert seeded_suite("monotone-decrease", 47, 20).passed
+
+    def test_monotone_decrease_suite_can_fail(self, monkeypatch):
+        # R(z) + z increases along the real axis
+        exact = representation.remainder
+
+        def rising(a, z, spec=None):
+            res = exact(a, z, spec)
+            return replace(res, value=res.value + z)
+
+        monkeypatch.setattr(representation, "remainder", rising)
+        res = seeded_suite("monotone-decrease", 47, 20)
+        # one failure for each of the 18 non-constant draws
+        assert len(res.failures) == 18
+        assert {f["contract"] for f in res.failures} == {"remainder strictly decreasing on the real axis"}
 
     def test_large_z_decay_bound(self):
-        eps = float(np.finfo(float).eps)
-        rng = np.random.default_rng(48)
-        for _ in range(20):
-            a = random_sequence(rng)
-            am = arithmetic_mean(a)
-            m0 = density_moment(a, 0)
-            for big in (1e3, 1e4, 1e5):
-                dev = abs(gmean_excess(a, complex(big, 0.0)) - am)
-                assert dev <= m0 / big * 1.01 + 64.0 * eps * (big + am)
+        assert seeded_suite("large-z-decay", 48, 20).passed
 
     def test_near_cut_accuracy(self):
         # pole projection inside a segment, tiny imaginary offset
