@@ -14,6 +14,7 @@ factors underflow otherwise) and vanish identically at segment endpoints.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -51,13 +52,18 @@ class SegmentDensity:
 
     ``index`` is the 1-based gap index l in [1, n-1]; ``weight`` is
     ``sin(l*pi/n)/pi``; ``density`` maps t to ``prod_k |a_k - t|**(1/n)`` and
-    vanishes at both endpoints.  Zero-length segments are never constructed.
+    vanishes at both endpoints.  ``m_lo`` and ``m_hi`` count the entries
+    equal to ``lo`` and to ``hi``: near its ends the density behaves like
+    ``(t - lo)**(m_lo/n)`` and ``(hi - t)**(m_hi/n)``.  Zero-length segments
+    are never constructed.
     """
 
     index: int
     lo: float
     hi: float
     weight: float
+    m_lo: int
+    m_hi: int
     density: Callable[[np.ndarray], np.ndarray] = field(repr=False)
 
 
@@ -74,6 +80,8 @@ def _segments_raw(values: tuple[float, ...]) -> list[SegmentDensity]:
                 lo=lo,
                 hi=hi,
                 weight=math.sin(ell * math.pi / n) / math.pi,
+                m_lo=ell - bisect_left(values, lo),
+                m_hi=bisect_right(values, hi) - ell,
                 density=_density_fn(values),
             )
         )

@@ -1,6 +1,14 @@
-"""Adaptive one-dimensional quadrature for the segment integrals.
+"""One-dimensional quadrature for the segment integrals.
 
-The engine pairs a 15-point Kronrod rule with its embedded 7-point Gauss rule
+Two rules live here.  :func:`gauss_jacobi` builds a fixed N-node Gauss–Jacobi
+rule by Golub–Welsch; :func:`segment_rule` caches the rule whose weight
+``(1-x)**(m_hi/n) * (1+x)**(m_lo/n)`` matches a segment density's endpoint
+behaviour exactly, and :func:`bernstein_rho` gives the ellipse parameter of
+the a-priori bound that decides when that rule is enough
+(:mod:`gmeanrep.representation`).  Everything else goes through the adaptive
+engine below.
+
+The adaptive engine pairs a 15-point Kronrod rule with its embedded 7-point Gauss rule
 for per-panel error estimation, refines the worst panel first, and routes the
 whole interval through a tanh-sinh ("double exponential") change of variable
 so that integrands with algebraic endpoint behaviour such as
@@ -20,6 +28,7 @@ left-to-right position order regardless of the refinement history.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from dataclasses import dataclass
@@ -183,6 +192,112 @@ def _adaptive(f, lo: float, hi: float, spec: QuadratureSpec):
     value = sum(p[2] for p in final)
     error = float(sum(p[3] for p in final))
     return value, error, subdivisions, converged
+
+
+def gauss_jacobi(N: int, alpha: float, beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the N-point Gauss–Jacobi rule on [-1, 1].
+
+    The rule integrates ``(1-x)**alpha * (1+x)**beta * p(x)`` exactly for
+    every polynomial ``p`` of degree ``<= 2N-1``; ``-1 < alpha, beta <= 1``,
+    the range of segment-density exponents.  Golub–Welsch: the nodes are the
+    eigenvalues of the Jacobi matrix of the orthonormal three-term
+    recurrence, that is the zeros of ``p_N``, and each weight is
+    ``mu0 * v0**2`` for the eigenvector's first component, that is the
+    inverse Christoffel sum ``1 / sum_{k<N} p_k(x)**2`` with
+    ``mu0 = 2**(alpha+beta+1) B(alpha+1, beta+1)``.  The eigenvalues are found
+    by Newton's method on the recurrence from their asymptotic positions
+    rather than by a LAPACK eigensolver, which keeps about 1 MB of library
+    code out of memory; the Christoffel sums keep the small end weights
+    accurate to a few dozen ulps.  Nodes ascend.
+
+    Raises:
+        ArithmeticError: if Newton's method does not settle on N distinct
+            zeros (not seen for any ``N <= 200``).
+    """
+    if N < 1:
+        raise ValueError("N must be >= 1")
+    if not (-1.0 < alpha <= 1.0 and -1.0 < beta <= 1.0):
+        raise ValueError("Jacobi exponents must lie in (-1, 1]")
+    ab = alpha + beta
+    k = np.arange(N + 1, dtype=float)
+    s = 2.0 * k + ab
+    diag = np.empty(N + 1)
+    diag[0] = (beta - alpha) / (ab + 2.0)
+    diag[1:] = (beta * beta - alpha * alpha) / (s[1:] * (s[1:] + 2.0))
+    # off[k-1] couples p_{k-1} and p_k, k = 1..N; the k = 1 entry written out, since
+    # the general form is 0/0 at alpha + beta = -1
+    kk, ss = k[2:], s[2:]
+    off = np.empty(N)
+    off[0] = math.sqrt(4.0 * (1.0 + alpha) * (1.0 + beta) / ((ab + 2.0) ** 2 * (ab + 3.0)))
+    off[1:] = np.sqrt(4.0 * kk * (kk + alpha) * (kk + beta) * (kk + ab) / (ss * ss * (ss + 1.0) * (ss - 1.0)))
+    log_mu0 = (
+        (ab + 1.0) * math.log(2.0)
+        + math.lgamma(alpha + 1.0)
+        + math.lgamma(beta + 1.0)
+        - math.lgamma(ab + 2.0)
+    )
+    diag, off = diag.tolist(), off.tolist()
+    p0 = math.exp(-0.5 * log_mu0)
+
+    def recurrence(x):
+        """p_N, p_N' and sum_{k<N} p_k**2 at x."""
+        p_prev, p = np.zeros_like(x), np.full_like(x, p0)
+        d_prev, d = np.zeros_like(x), np.zeros_like(x)
+        christoffel = np.zeros_like(x)
+        for j in range(N):
+            christoffel += p * p
+            x_j = x - diag[j]
+            back = off[j - 1] if j else 0.0
+            p_prev, p = p, (x_j * p - back * p_prev) / off[j]
+            d_prev, d = d, (p_prev + x_j * d - back * d_prev) / off[j]
+        return p, d, christoffel
+
+    # zeros of P_N^(alpha, beta)(cos theta) sit near these angles
+    theta = math.pi * (np.arange(N, 0, -1) + 0.5 * alpha - 0.25) / (N + 0.5 * (ab + 1.0))
+    x = np.cos(theta)
+    for _ in range(12):
+        p_n, dp_n, _ = recurrence(x)
+        step = p_n / dp_n
+        x = x - step
+        # convergence is quadratic: after a step this small, x is exact
+        if np.max(np.abs(step)) < 1e-12:
+            break
+    gaps = np.diff(np.concatenate(([-1.0], x, [1.0])))
+    if not (np.max(np.abs(step)) < 1e-12 and np.min(gaps) > 1e3 * np.max(np.abs(step))):
+        raise ArithmeticError(f"Gauss-Jacobi nodes did not converge for N={N}, alpha={alpha}, beta={beta}")
+    _, _, christoffel = recurrence(x)
+    return x, 1.0 / christoffel
+
+
+# nodes of the fixed segment rule: rho**(-2N) reaches 1e-10 at rho = 1.2
+JACOBI_NODES = 64
+
+
+@functools.lru_cache(maxsize=256)
+def segment_rule(m_lo: int, m_hi: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The cached ``JACOBI_NODES``-point rule for a segment whose lower and
+    upper ends are entries of multiplicity ``m_lo`` and ``m_hi`` out of
+    ``n``: :func:`gauss_jacobi` with ``alpha = m_hi/n`` and
+    ``beta = m_lo/n``.  Keyed by integers only; the arrays are read-only.
+    """
+    x, w = gauss_jacobi(JACOBI_NODES, m_hi / n, m_lo / n)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
+def bernstein_rho(lo, hi, t):
+    """Parameter ``rho`` of the Bernstein ellipse with foci ``lo`` and ``hi``
+    through the point ``t`` (real or complex): ``rho = s + sqrt(s**2 - 1)``
+    with semi-major axis ``s = (|t - lo| + |t - hi|) / (hi - lo)``.  An
+    N-point Gauss rule on [lo, hi] converges like ``rho**(-2N)`` for an
+    integrand analytic inside that ellipse.  Vectorized; a point too far to
+    represent gives ``inf``.
+    """
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        s = (np.abs(t - lo) + np.abs(t - hi)) / (np.asarray(hi) - lo)
+        s = np.maximum(s, 1.0)
+        return s + np.sqrt((s - 1.0) * (s + 1.0))
 
 
 def _tanh_sinh_wrap(f, lo: float, hi: float):

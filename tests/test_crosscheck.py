@@ -10,7 +10,7 @@ import pytest
 
 from gmeanrep.boundary import segments
 from gmeanrep.means import principal_gmean
-from gmeanrep.quadrature import integrate
+from gmeanrep.quadrature import JACOBI_NODES, gauss_jacobi, integrate
 from gmeanrep.representation import remainder
 from gmeanrep.verify import random_sequence
 
@@ -30,6 +30,16 @@ def test_integrate_matches_scipy_quad():
         ref, ref_err = scipy_integrate.quad(f, seg.lo, seg.hi, epsabs=1e-12, epsrel=1e-11, limit=200)
         mine = integrate(lambda t, seg=seg, shift=shift: seg.density(t) / (t + shift), seg.lo, seg.hi)
         assert abs(mine.value - ref) <= 1e-8 * max(1.0, abs(ref)) + 10 * ref_err
+
+
+@pytest.mark.parametrize("alpha, beta", [(1 / 3, 2 / 3), (7 / 8, 1 / 8), (1 / 300, 1 / 300)])
+def test_gauss_jacobi_matches_scipy(alpha, beta):
+    special = pytest.importorskip("scipy.special")
+    ref_x, ref_w = special.roots_jacobi(JACOBI_NODES, alpha, beta)
+    x, w = gauss_jacobi(JACOBI_NODES, alpha, beta)
+    assert np.max(np.abs(x - ref_x)) <= 1e-15
+    # scipy's smallest weights are themselves only good to about 3e-12
+    assert np.max(np.abs(w - ref_w) / ref_w) <= 1e-11
 
 
 def test_principal_gmean_matches_mpmath():

@@ -9,11 +9,15 @@ import pytest
 
 from gmeanrep import verify
 from gmeanrep.quadrature import (
+    JACOBI_NODES,
     QuadratureResult,
     QuadratureSpec,
+    bernstein_rho,
+    gauss_jacobi,
     integrate,
     integrate_near_pole,
     kronrod_panel,
+    segment_rule,
 )
 
 from conftest import seeded_suite
@@ -68,6 +72,40 @@ class TestBaseRule:
         k, g, _ = kronrod_panel(lambda t: t**14, 0.0, 1.0)
         assert abs(k - exact) <= 1e-13 * exact
         assert abs(g - exact) > 1e-13 * exact
+
+
+class TestGaussJacobi:
+    @pytest.mark.parametrize("alpha, beta", [(1 / 3, 2 / 3), (7 / 8, 1 / 8), (1 / 300, 1 / 300)])
+    def test_polynomial_exactness(self, alpha, beta):
+        # int (1-x)^alpha (1+x)^beta u^k dx with u = (1+x)/2 is
+        # 2^(alpha+beta+1) B(beta+k+1, alpha+1), exact through k = 2N-1
+        x, w = gauss_jacobi(JACOBI_NODES, alpha, beta)
+        u = 0.5 * (1.0 + x)
+        for k in range(2 * JACOBI_NODES):
+            log_beta = math.lgamma(beta + k + 1) + math.lgamma(alpha + 1) - math.lgamma(alpha + beta + k + 2)
+            exact = math.exp((alpha + beta + 1) * math.log(2.0) + log_beta)
+            assert abs(w @ u**k - exact) <= 1e-12 * exact, k
+
+    def test_nodes_ascend_inside_interval(self):
+        x, w = gauss_jacobi(JACOBI_NODES, 0.5, 0.25)
+        assert np.all(np.diff(x) > 0.0) and -1.0 < x[0] and x[-1] < 1.0
+        assert np.all(w > 0.0)
+
+    def test_segment_rule_cached_read_only(self):
+        x, w = segment_rule(1, 2, 3)
+        assert segment_rule(1, 2, 3)[0] is x
+        # the weight's exponent at x = 1 belongs to the upper end
+        ref_x, ref_w = gauss_jacobi(JACOBI_NODES, 2 / 3, 1 / 3)
+        assert np.array_equal(x, ref_x) and np.array_equal(w, ref_w)
+        with pytest.raises(ValueError):
+            x[0] = 0.0
+
+    def test_bernstein_rho(self):
+        # on the interval the ellipse degenerates; off it rho = s + sqrt(s^2 - 1)
+        assert bernstein_rho(1.0, 3.0, 2.5) == 1.0
+        assert bernstein_rho(-1.0, 1.0, 2.0) == pytest.approx(2.0 + math.sqrt(3.0), rel=1e-15)
+        assert bernstein_rho(-1.0, 1.0, 1j) == pytest.approx(1.0 + math.sqrt(2.0), rel=1e-15)
+        assert bernstein_rho(0.0, 1.0, -np.inf) == np.inf
 
 
 class TestIntegrate:

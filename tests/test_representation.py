@@ -6,7 +6,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import gmeanrep
 from gmeanrep import representation
+from gmeanrep.boundary import segments
 from gmeanrep.means import (
     CutViolation,
     Sequence,
@@ -14,7 +21,7 @@ from gmeanrep.means import (
     gmean_excess_shifted,
     principal_gmean,
 )
-from gmeanrep.quadrature import QuadratureFailure, QuadratureSpec
+from gmeanrep.quadrature import QuadratureFailure, QuadratureSpec, integrate_near_pole
 from gmeanrep.representation import (
     RemainderValue,
     am_gm_gap,
@@ -22,7 +29,7 @@ from gmeanrep.representation import (
     remainder,
     shifted_excess_via_representation,
 )
-from gmeanrep.verify import random_sequence
+from gmeanrep.verify import random_sequence, representation_z_grid
 
 from conftest import seeded_suite
 
@@ -55,6 +62,20 @@ class TestRemainder:
         assert rem.value == sum((c for _, c, _ in rem.per_segment), 0j)
         assert [idx for idx, _, _ in rem.per_segment] == [1, 2, 3]
 
+    def test_paths(self):
+        a = Sequence((1, 2, 3))
+        # far from the cut every segment takes the fixed rule
+        assert remainder(a, 1.0).paths == ("fixed", "fixed")
+        # the pole -z inside segment 1, next to the cut: split there
+        assert remainder(a, complex(-1.5, 1e-4)).paths[0] == "split"
+        # the pole just beyond the end of segment 2: adaptive, no split
+        assert remainder(a, complex(-3.001, 1e-4)).paths[1] == "adaptive"
+        # a tolerance no rule can certify always falls back
+        spec = QuadratureSpec(abs_tol=1e-30, rel_tol=1e-30, max_subdivisions=2)
+        with pytest.raises(QuadratureFailure) as exc:
+            remainder(a, 1.0, spec)
+        assert exc.value.result.paths == ("adaptive", "adaptive")
+
     def test_real_axis_realness(self):
         rem = remainder(Sequence((1, 2, 3)), 4.0)
         assert abs(rem.value.imag) <= rem.total_error_estimate
@@ -80,10 +101,49 @@ class TestRemainder:
         assert near.total_error_estimate >= floor
         assert near.total_error_estimate > far.total_error_estimate
 
+    def test_runtime_needs_no_scipy(self):
+        # the runtime depends on numpy alone
+        code = (
+            "import sys, gmeanrep; "
+            "gmeanrep.remainder(gmeanrep.Sequence((1, 2, 3)), 1 + 1j); "
+            "sys.exit('scipy' in sys.modules)"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(gmeanrep.__file__).parents[1]))
+        assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
+
     def test_density_scale_hook(self):
         base = remainder(Sequence((1, 2)), 0.0).value.real
         bumped = remainder(Sequence((1, 2)), 0.0, density_scale=1.001).value.real
         assert bumped == pytest.approx(1.001 * base, rel=1e-9)
+
+
+class TestFixedRule:
+    def test_bound_covers_admitted_pairs(self):
+        # every (segment, z) pair the a-priori bound admits is within its
+        # estimate of a tight adaptive reference
+        spec = QuadratureSpec()
+        tight = QuadratureSpec(abs_tol=1e-16, rel_tol=1e-13)
+        rng = np.random.default_rng(50)
+        admitted = 0
+        for _ in range(12):
+            a = random_sequence(rng)
+            segs = segments(a)
+            if not segs:
+                continue
+            zs = representation_z_grid(a)[::4]
+            zs += [complex(-a.min + 10.0 ** rng.uniform(-3, 1), 0.0) for _ in range(4)]
+            zs += [complex(rng.uniform(-a.max, -a.min), 10.0 ** rng.uniform(-2, 0.5)) for _ in range(6)]
+            for z in zs:
+                values, estimates = representation._fixed_rule(a.values, segs, z, 1.0)
+                for seg, value, est in zip(segs, values, estimates):
+                    if not est <= max(spec.abs_tol, spec.rel_tol * abs(value)):
+                        continue
+                    admitted += 1
+                    ref = integrate_near_pole(
+                        lambda t, seg=seg, z=z: seg.density(t) / (t + z), seg.lo, seg.hi, -z.real, tight
+                    )
+                    assert abs(value - ref.value) <= est, (a.values, z, seg.index)
+        assert admitted > 100
 
 
 class TestGmeanViaRepresentation:
@@ -150,12 +210,21 @@ class TestAmGmGap:
         contracts = [f["contract"] for f in seeded_suite("am-gm-gap", 44, 50).failures]
         assert contracts.count("representation gap matches direct A - G within 1e-9") == 50
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_overflowing_range_raises(self):
-        # the tanh-sinh weight overflows on a segment this wide; the result
-        # must be a typed error, never a silent nan
-        with pytest.raises(QuadratureFailure):
-            am_gm_gap(Sequence((1e300, 1.7e308)))
+    @staticmethod
+    def direct_gap(lo, hi):
+        # A - G of two entries with no product that could under- or overflow
+        return lo / 2 + hi / 2 - math.sqrt(lo) * math.sqrt(hi)
+
+    def test_overflowing_range_value(self):
+        # a segment this wide overflowed the tanh-sinh weight before the
+        # entries were scaled to [1, 2)
+        gap = am_gm_gap(Sequence((1e300, 1.7e308)))
+        assert gap == pytest.approx(self.direct_gap(1e300, 1.7e308), rel=1e-12)
+
+    def test_underflowing_range_value(self):
+        # h**(1+p+q) underflows to 0 on the unscaled segment
+        gap = am_gm_gap(Sequence((1e-300, 2e-300)))
+        assert gap == pytest.approx(self.direct_gap(1e-300, 2e-300), rel=1e-12)
 
 
 class TestStructuralProperties:
