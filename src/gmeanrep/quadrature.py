@@ -3,10 +3,11 @@
 Two rules live here.  :func:`gauss_jacobi` builds a fixed N-node Gauss–Jacobi
 rule by Golub–Welsch; :func:`segment_rule` caches the rule whose weight
 ``(1-x)**(m_hi/n) * (1+x)**(m_lo/n)`` matches a segment density's endpoint
-behaviour exactly, and :func:`bernstein_rho` gives the ellipse parameter of
-the a-priori bound that decides when that rule is enough
-(:mod:`gmeanrep.representation`).  Everything else goes through the adaptive
-engine below.
+behaviour exactly (Gauss–Legendre on a panel that touches no entry), and
+:func:`bernstein_rho` gives the ellipse parameter of the a-priori bound on
+that rule's error.  :mod:`gmeanrep.representation` computes every remainder
+with them alone.  The keyhole contour and ``density_moment`` go through the
+adaptive engine below.
 
 The adaptive engine pairs a 15-point Kronrod rule with its embedded 7-point Gauss rule
 for per-panel error estimation, refines the worst panel first, and routes the
@@ -51,7 +52,12 @@ class QuadratureFailure(RuntimeError):
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tolerances and subdivision limits for adaptive integration."""
+    """Tolerances and work limits for integration.
+
+    ``max_subdivisions`` bounds the panel splits of the adaptive engine and,
+    in :func:`gmeanrep.representation.remainder`, the number of panels one
+    segment may be cut into.
+    """
 
     abs_tol: float = 1e-12
     rel_tol: float = 1e-10
@@ -169,6 +175,8 @@ def _adaptive(f, lo: float, hi: float, spec: QuadratureSpec):
             converged = False
             break
         if not heap:
+            # every panel is at machine width and the total still misses
+            converged = False
             break
         _, idx = heapq.heappop(heap)
         plo, phi, pval, perr = panels[idx]
@@ -273,13 +281,21 @@ def gauss_jacobi(N: int, alpha: float, beta: float) -> tuple[np.ndarray, np.ndar
 JACOBI_NODES = 64
 
 
-@functools.lru_cache(maxsize=256)
 def segment_rule(m_lo: int, m_hi: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The cached ``JACOBI_NODES``-point rule for a segment whose lower and
-    upper ends are entries of multiplicity ``m_lo`` and ``m_hi`` out of
-    ``n``: :func:`gauss_jacobi` with ``alpha = m_hi/n`` and
-    ``beta = m_lo/n``.  Keyed by integers only; the arrays are read-only.
+    """The cached ``JACOBI_NODES``-point rule for a panel whose lower and
+    upper ends carry the weights ``(1+x)**(m_lo/n)`` and ``(1-x)**(m_hi/n)``
+    (0 where the panel does not touch an entry): :func:`gauss_jacobi` with
+    ``alpha = m_hi/n`` and ``beta = m_lo/n``.  Keyed by the integers in
+    lowest terms, so ``(0, 0, n)``, Gauss–Legendre, is built once for every
+    ``n``; rules are built on first use, and the arrays are read-only.
     """
+    g = math.gcd(m_lo, m_hi, n)
+    return _jacobi_rule(m_lo // g, m_hi // g, n // g)
+
+
+# about 1 KB a rule: room for three keys per n over a few hundred n
+@functools.lru_cache(maxsize=1024)
+def _jacobi_rule(m_lo: int, m_hi: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     x, w = gauss_jacobi(JACOBI_NODES, m_hi / n, m_lo / n)
     x.setflags(write=False)
     w.setflags(write=False)

@@ -8,33 +8,31 @@ and the principal geometric mean is recovered as ``A + z - R(z)`` where ``A``
 is the arithmetic mean.  At ``z = 0`` the remainder is exactly the
 arithmetic-minus-geometric gap, which the nonnegative integrand keeps >= 0.
 
-Each segment integral is first tried with one fixed rule: the
-``JACOBI_NODES``-point Gauss–Jacobi rule whose weight carries the density's
-endpoint powers ``(t - a_l)**(m_l/n) * (a_{l+1} - t)**(m_{l+1}/n)``, so what
-is left is analytic on the segment.  An a-priori bound,
-``C * rho**(-2N) * sum_j |W_j / (t_j + z)|`` with ``rho`` the smallest
-Bernstein ellipse through the pole ``-z`` or a neighbouring entry, admits the
-rule's value when it meets the caller's ``QuadratureSpec`` exactly as the
-adaptive integrator's own stopping test would.  Every other (segment, z)
-pair takes the adaptive path of :func:`gmeanrep.quadrature.integrate_near_pole`,
-which splits a segment containing the pole projection ``-re(z)`` there once.
-``RemainderValue.paths`` records which path each segment took.  All of it
-runs on the entries scaled by a power of two to ``max(a)`` in [1, 2) (``R``
-is homogeneous of degree 1), so entries from 1e-300 to 1e308 neither under-
-nor overflow.
+Every segment integral is computed with one rule, the
+``JACOBI_NODES``-point Gauss–Jacobi rule of
+:func:`gmeanrep.quadrature.segment_rule`, whose weight carries the density's
+endpoint powers ``(t - a_l)**(m_l/n)`` and ``(a_{l+1} - t)**(m_{l+1}/n)``,
+with the a-priori error bound ``C * rho**(-2N) * sum_j |W_j / (t_j + z)|``.
+It is applied first to the whole segment and, where that bound misses the
+caller's ``QuadratureSpec``, to panels planned from the segment's known
+singularities, the entries and the pole ``-z``, before anything is evaluated
+(:func:`_plan`).  ``RemainderValue.panels`` records the panel count per
+segment.  All of it runs on the entries scaled by a power of two to
+``max(a)`` in [1, 2) (``R`` is homogeneous of degree 1), so entries from
+1e-300 to 1e308 neither under- nor overflow.
 
 ``z = 0`` needs no special handling: the integration variable stays >= min(a)
 > 0, so ``1/(t+z)`` is bounded for every ``re(z) > -min(a)``.  Within 1e-6 of
-the loaded cut (measured in the caller's units) the error estimate grows by
-``eps / distance`` times the value, flagging the point; closer than about
-1e-8 calls may raise ``QuadratureFailure``, and below about 1e-20 they may
-return garbage flagged only by that estimate (README "Numerical notes").
+the loaded cut (measured on the scaled entries) the error estimate grows by
+``eps / distance`` times the value, flagging the point; the value itself is
+computed down to distances of 1e-300 (README "Numerical notes").
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,17 +44,22 @@ from .quadrature import (
     QuadratureFailure,
     QuadratureSpec,
     bernstein_rho,
-    integrate_near_pole,
     segment_rule,
 )
 
-# below this distance results are flagged ill-conditioned
+# below this distance, on the scaled entries, results are flagged ill-conditioned
 _ILL_CONDITIONED = 1e-6
 # constant of the a-priori bound: Trefethen's 64/15 for Gauss rules
 # (SIAM Rev. 2008, Thm 4.5); on seeded corpora the achieved error stays
 # below 1.3 rho**(-2N) times the same sum
 _BOUND_C = 64.0 / 15.0
-# elements in the largest temporary of the fixed rule: 512 KB of float64
+# a planned panel's bound aims at this share of rel_tol, so that the summed
+# estimates of a segment still pass when its panels partly cancel
+_PLAN_MARGIN = 0.1
+# a panel that misses the plan's rho is cut at this fraction of its length
+# from the end nearer its anchor
+_GRADING = 1.0 / 30.0
+# elements in the largest temporary of the rule: 512 KB of float64
 _BLOCK = 1 << 16
 
 
@@ -66,27 +69,39 @@ class RemainderValue:
 
     ``value`` is the sum of the per-segment contributions (reduced in
     ascending segment order); ``per_segment`` holds
-    ``(segment_index, contribution, error_estimate)`` triples, and ``paths``
-    names, in the same order, how each contribution was computed:
-    ``"fixed"`` (the Gauss–Jacobi rule, admitted by its a-priori bound),
-    ``"adaptive"`` (the adaptive integrator) or ``"split"`` (the adaptive
-    integrator on both sides of a pole inside the segment).
+    ``(segment_index, contribution, error_estimate)`` triples, and ``panels``
+    gives, in the same order, the number of Gauss–Jacobi panels each
+    contribution took: 1 is the whole-segment rule.
     """
 
     value: complex
     per_segment: tuple[tuple[int, complex, float], ...]
     total_error_estimate: float
-    paths: tuple[str, ...]
+    panels: tuple[int, ...]
 
     def to_dict(self) -> dict:
         return {
             "value": {"re": self.value.real, "im": self.value.imag},
             "per_segment": [
-                {"segment": idx, "re": c.real, "im": c.imag, "error_estimate": e, "path": path}
-                for (idx, c, e), path in zip(self.per_segment, self.paths)
+                {"segment": idx, "re": c.real, "im": c.imag, "error_estimate": e, "panels": k}
+                for (idx, c, e), k in zip(self.per_segment, self.panels)
             ],
             "total_error_estimate": self.total_error_estimate,
         }
+
+
+class _Panel(NamedTuple):
+    """``[anchor + lo, anchor + hi]`` inside ``seg``; ``m_lo``/``m_hi`` are
+    the segment's end multiplicities where the panel touches that end, else
+    0.  A whole segment is the panel ``(seg, 0.0, seg.lo, seg.hi, seg.m_lo,
+    seg.m_hi)``."""
+
+    seg: SegmentDensity
+    anchor: float
+    lo: float
+    hi: float
+    m_lo: int
+    m_hi: int
 
 
 def _loaded_cut_distance(values: tuple[float, ...], z: complex) -> float:
@@ -96,63 +111,128 @@ def _loaded_cut_distance(values: tuple[float, ...], z: complex) -> float:
     return math.hypot(z.real - x, z.imag)
 
 
-def _fixed_rule(
-    values: tuple[float, ...], segs: list[SegmentDensity], z: complex, density_scale: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss–Jacobi values of the segment integrals ``int density/(t+z) dt``
-    and their a-priori error estimates, one entry per segment.
+def _neighbours(values: tuple[float, ...], seg: SegmentDensity) -> tuple[float, float]:
+    """The entries next to the segment; -inf or inf where there is none."""
+    below = seg.index - seg.m_lo - 1
+    above = seg.index + seg.m_hi
+    return (values[below] if below >= 0 else -math.inf, values[above] if above < len(values) else math.inf)
 
-    On [lo, hi] with ``t = c + h*x`` the density is
-    ``h**(p+q) * (1+x)**p * (1-x)**q * s(t)`` with ``p = m_lo/n``,
-    ``q = m_hi/n`` and ``s`` the product over the other entries, analytic on
-    the segment.  The rule carries the Jacobi weight, so the value is
-    ``sum_j W_j / (t_j + z)`` with ``W_j = w_j * h**(1+p+q) * s(t_j)``.  The
-    distances ``t - lo = h*(1+x)`` and ``hi - t = h*(1-x)`` are formed
-    without cancellation, so nodes near an end keep their relative accuracy.
-    The estimate is ``C * rho**(-2N) * sum_j |W_j / (t_j + z)|`` for the
-    smallest Bernstein ellipse through the pole ``-z`` or a neighbouring
-    entry, floored at the adaptive panels' roundoff share of the same sum.
-    Segments go in blocks whose largest temporary has about ``_BLOCK``
-    elements.
+
+def _fixed_rule(
+    values: tuple[float, ...], panels: list[_Panel], z: complex, density_scale: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss–Jacobi values of the panel integrals ``int density/(t+z) dt``
+    and their a-priori error estimates, one entry per panel.
+
+    On a panel with ``t = anchor + u``, ``u`` running from ``lo`` to ``hi``
+    with half-width ``h``, the density is ``h**(p+q) * (1+x)**p * (1-x)**q *
+    s(t)`` with ``p = m_lo/n``, ``q = m_hi/n`` and ``s`` the product over the
+    other entries, analytic on the panel.  The rule carries the Jacobi
+    weight, so the value is ``sum_j W_j / (t_j + z)`` with
+    ``W_j = w_j * h**(1+p+q) * s(t_j)``.  The distances to the panel's ends,
+    ``h*(1+x)`` and ``h*(1-x)``, are added to the entries' and the pole's
+    offsets from those ends, so nodes near an end keep their relative
+    accuracy.  The estimate is ``C * rho**(-2N) * sum_j |W_j / (t_j + z)|``
+    for the smallest Bernstein ellipse through the pole ``-z``, the entry
+    below and the entry above the panel (the segment's own end where the
+    panel does not touch it), floored at the adaptive panels' roundoff share
+    of the same sum.  Panels go in blocks whose largest temporary has about
+    ``_BLOCK`` elements.
     """
     n = len(values)
     v = np.asarray(values)[:, None, None]
     per_block = max(1, _BLOCK // (n * JACOBI_NODES))
     vals, ests = [], []
-    for start in range(0, len(segs), per_block):
-        block = segs[start : start + per_block]
-        rules = [segment_rule(seg.m_lo, seg.m_hi, n) for seg in block]
+    for start in range(0, len(panels), per_block):
+        block = panels[start : start + per_block]
+        rules = [segment_rule(p.m_lo, p.m_hi, n) for p in block]
         x = np.stack([r[0] for r in rules])
         w = np.stack([r[1] for r in rules])
-        lo = np.array([[seg.lo] for seg in block])
-        hi = np.array([[seg.hi] for seg in block])
-        power = np.array([[1.0 + (seg.m_lo + seg.m_hi) / n] for seg in block])
-        # the entries next to the segment; +-inf where there is none
-        prev = np.array([values[seg.index - seg.m_lo - 1] if seg.index > seg.m_lo else -np.inf for seg in block])
-        after = np.array([values[seg.index + seg.m_hi] if seg.index + seg.m_hi < n else np.inf for seg in block])
+        rows = []
+        for p in block:
+            prev, after = _neighbours(values, p.seg)
+            # the entries at an end the panel touches are in the Jacobi
+            # weight (nan matches no entry); the ellipse then passes
+            # through the next entry instead of that end
+            rows.append((
+                p.anchor, p.lo, p.hi, p.seg.lo,
+                p.seg.lo if p.m_lo else math.nan, p.seg.hi if p.m_hi else math.nan,
+                (prev if p.m_lo else p.seg.lo) - p.anchor, (after if p.m_hi else p.seg.hi) - p.anchor,
+                1.0 + (p.m_lo + p.m_hi) / n,
+            ))
+        anchor, lo, hi, seg_lo, in_lo, in_hi, below, above, power = np.array(rows).T[:, :, None]
         h = 0.5 * (hi - lo)
         from_lo = h * (1.0 + x)
         from_hi = h * (1.0 - x)
         with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
-            # |a_k - t| for every other entry, built in the one block-sized
-            # array; the entries equal to lo or hi are in the Jacobi weight
-            below = v < lo
-            dist = np.where(below, from_lo, from_hi)
-            dist += np.where(below, lo - v, v - hi)
-            np.copyto(dist, 1.0, where=(v >= lo) & (v <= hi))
+            # |a_k - t| for every other entry, built in the one block-sized array
+            offset = v - anchor
+            under = v <= seg_lo
+            dist = np.where(under, from_lo, from_hi)
+            dist += np.where(under, lo - offset, offset - hi)
+            np.copyto(dist, 1.0, where=(v == in_lo) | (v == in_hi))
             log_s = np.log(dist, out=dist).sum(axis=0) / n
             weights = w * h**power * np.exp(log_s) * density_scale
-            terms = weights / np.where(x <= 0.0, (lo + z) + from_lo, (hi + z) - from_hi)
+            shifted = anchor + z
+            terms = weights / np.where(x <= 0.0, (shifted + lo) + from_lo, (shifted + hi) - from_hi)
             value = terms.sum(axis=1)
             size = np.abs(terms).sum(axis=1)
-            lo, hi = lo[:, 0], hi[:, 0]
-            rho = np.minimum(
-                bernstein_rho(lo, hi, -z),
-                np.minimum(bernstein_rho(lo, hi, prev), bernstein_rho(lo, hi, after)),
-            )
+            rho = bernstein_rho(lo, hi, np.concatenate((-z - anchor, below, above), axis=1)).min(axis=1)
             ests.append(np.maximum(_BOUND_C * rho ** (-2.0 * JACOBI_NODES), _ROUNDOFF) * size)
         vals.append(value)
     return np.concatenate(vals), np.concatenate(ests)
+
+
+def _plan(
+    values: tuple[float, ...], seg: SegmentDensity, z: complex, spec: QuadratureSpec
+) -> list[_Panel] | None:
+    """Panels for a segment the whole-segment rule does not admit, chosen
+    from its singularities alone, or ``None`` when more than
+    ``spec.max_subdivisions`` would be needed.
+
+    The segment is cut at the pole projection ``x0 = -re(z)`` when that lies
+    inside, and each part at its midpoint, so every half has one anchor:
+    ``lo``, ``hi`` or ``x0``, the point of the half nearest to each
+    singularity.  A half is one panel while that panel's Bernstein ellipse
+    through the pole, the neighbouring entries and the segment ends it does
+    not touch is wide enough for its bound to meet ``_PLAN_MARGIN`` times
+    ``spec.rel_tol`` (never finer than roundoff); otherwise it is cut at
+    ``_GRADING`` of its length from the anchor end and both pieces are
+    checked again.  Offsets stay relative to the anchor (``x0 + z`` is
+    exactly ``i*im(z)``).
+    """
+    rho = (_BOUND_C / max(_PLAN_MARGIN * spec.rel_tol, _ROUNDOFF)) ** (0.5 / JACOBI_NODES)
+    # semi-major axis of that ellipse, in units of the panel's half-width
+    s_need = 0.5 * (rho + 1.0 / rho)
+    prev, after = _neighbours(values, seg)
+    x0 = -z.real
+    if seg.lo < x0 < seg.hi:
+        left, right = 0.5 * (x0 - seg.lo), 0.5 * (seg.hi - x0)
+        halves = ((seg.lo, left), (x0, -left), (x0, right), (seg.hi, -right))
+    else:
+        half = 0.5 * (seg.hi - seg.lo)
+        halves = ((seg.lo, half), (seg.hi, -half))
+    panels: list[_Panel] = []
+    for anchor, far in halves:
+        pole = -z - anchor
+        ends = (seg.lo - anchor, seg.hi - anchor)
+        neighbours = (prev - anchor, after - anchor)
+        work = [(0.0, far)]
+        while work:
+            if len(panels) + len(work) > spec.max_subdivisions:
+                return None
+            a, b = work.pop()  # a is the end nearer the anchor
+            lo, hi = min(a, b), max(a, b)
+            m_lo = seg.m_lo if lo == ends[0] else 0
+            m_hi = seg.m_hi if hi == ends[1] else 0
+            points = (pole, neighbours[0] if m_lo else ends[0], neighbours[1] if m_hi else ends[1])
+            width = hi - lo
+            if min(abs(p - lo) + abs(p - hi) for p in points) >= s_need * width:
+                panels.append(_Panel(seg, anchor, lo, hi, m_lo, m_hi))
+            else:
+                cut = a + (b - a) * _GRADING
+                work += [(cut, b), (a, cut)]
+    return panels
 
 
 def _remainder_raw(
@@ -161,38 +241,44 @@ def _remainder_raw(
     if values[0] == values[-1]:
         return RemainderValue(0j, (), 0.0, ())
     # R is homogeneous of degree 1, R_a(z) = s * R_{a/s}(z/s): work on entries
-    # scaled by a power of two (exact), max in [1, 2), so that neither
-    # h**(1+p+q) nor the tanh-sinh weights under- or overflow
+    # scaled by a power of two (exact), max in [1, 2), so that h**(1+p+q)
+    # neither under- nor overflows
     scale = math.ldexp(1.0, math.frexp(values[-1])[1] - 1)
     scaled = tuple(v / scale for v in values)
     zs = z / scale
-    spec_s = replace(spec, abs_tol=max(spec.abs_tol / scale, math.ulp(0.0)))
+    abs_tol = max(spec.abs_tol / scale, math.ulp(0.0))
     segs = _segments_raw(scaled)
-    fixed_vals, fixed_ests = _fixed_rule(scaled, segs, zs, density_scale)
-    pole = -zs.real
-    per = []
-    paths = []
-    failed = []
-    for seg, val, est in zip(segs, fixed_vals.tolist(), fixed_ests.tolist()):
-        if est <= max(spec_s.abs_tol, spec_s.rel_tol * abs(val)):
-            paths.append("fixed")
-        else:
-            def f(t, seg=seg):
-                return seg.density(t) * (density_scale / (t + zs))
+    first = [_Panel(seg, 0.0, seg.lo, seg.hi, seg.m_lo, seg.m_hi) for seg in segs]
+    vals, ests = _fixed_rule(scaled, first, zs, density_scale)
+    vals, ests = vals.tolist(), ests.tolist()
+    counts = [1] * len(segs)
 
-            res = integrate_near_pole(f, seg.lo, seg.hi, pole, spec_s)
-            val, est = res.value, res.error_estimate
-            paths.append("split" if seg.lo < pole < seg.hi else "adaptive")
-            if not res.converged:
-                failed.append(seg.index)
-        per.append((seg.index, scale * (seg.weight * complex(val)), scale * (seg.weight * est)))
+    def admitted(i: int) -> bool:
+        # an overflowed value or estimate can never certify itself
+        return ests[i] <= max(abs_tol, spec.rel_tol * abs(vals[i])) < math.inf
+
+    failed = []
+    for i, seg in enumerate(segs):
+        if admitted(i):
+            continue
+        plan = _plan(scaled, seg, zs, spec)
+        if plan is not None:
+            panel_vals, panel_ests = _fixed_rule(scaled, plan, zs, density_scale)
+            with np.errstate(invalid="ignore", over="ignore"):
+                vals[i], ests[i], counts[i] = complex(panel_vals.sum()), float(panel_ests.sum()), len(plan)
+        if plan is None or not admitted(i):
+            failed.append(seg.index)
+    per = tuple(
+        (seg.index, scale * (seg.weight * complex(val)), scale * (seg.weight * est))
+        for seg, val, est in zip(segs, vals, ests)
+    )
     value = sum((c for _, c, _ in per), 0j)
     total_err = float(sum(e for _, _, e in per))
-    dist = _loaded_cut_distance(values, z)
+    dist = _loaded_cut_distance(scaled, zs)
     if dist < _ILL_CONDITIONED:
-        # cancellation in 1/(t+z) grows like 1/dist; surface it to callers
-        total_err += np.finfo(float).eps / max(dist, 1e-300) * sum(abs(c) for _, c, _ in per)
-    result = RemainderValue(value, tuple(per), total_err, tuple(paths))
+        # a relative change eps in z moves R by about eps/dist times its size
+        total_err += math.ulp(1.0) / max(dist, 1e-300) * sum(abs(c) for _, c, _ in per)
+    result = RemainderValue(value, per, total_err, tuple(counts))
     if failed:
         raise QuadratureFailure(
             f"remainder quadrature did not converge on segment(s) {failed}", result=result
@@ -211,8 +297,10 @@ def remainder(
 
     Raises:
         CutViolation: for ``z`` on ``(-inf, -min(a)]``.
-        QuadratureFailure: when a segment integral fails to converge; the
-            partial :class:`RemainderValue` rides on the exception.
+        QuadratureFailure: when a segment's estimate misses the tolerance
+            or its panel plan needs more than ``spec.max_subdivisions``
+            panels; the partial :class:`RemainderValue` rides on the
+            exception.
     """
     z = complex(_check_point(z))
     _check_cut(z, -a.values[0], "remainder")

@@ -80,7 +80,7 @@ class TestEval:
         code, out, _ = run(capsys, "eval", "--a", "1,2,3", "--z", "1+1i", "--detail")
         doc = json.loads(out)
         assert len(doc["remainder"]["per_segment"]) == 2
-        assert [seg["path"] for seg in doc["remainder"]["per_segment"]] == ["fixed", "fixed"]
+        assert [seg["panels"] for seg in doc["remainder"]["per_segment"]] == [1, 1]
 
     def test_constant_sequence(self, capsys):
         code, out, _ = run(capsys, "eval", "--a", "5,5,5", "--z", "1+1i")

@@ -12,6 +12,7 @@ from gmeanrep.quadrature import (
     JACOBI_NODES,
     QuadratureResult,
     QuadratureSpec,
+    _adaptive,
     bernstein_rho,
     gauss_jacobi,
     integrate,
@@ -94,6 +95,9 @@ class TestGaussJacobi:
     def test_segment_rule_cached_read_only(self):
         x, w = segment_rule(1, 2, 3)
         assert segment_rule(1, 2, 3)[0] is x
+        # keyed in lowest terms: Gauss-Legendre is one rule for every n
+        assert segment_rule(2, 4, 6)[0] is x
+        assert segment_rule(0, 0, 3)[0] is segment_rule(0, 0, 200)[0]
         # the weight's exponent at x = 1 belongs to the upper end
         ref_x, ref_w = gauss_jacobi(JACOBI_NODES, 2 / 3, 1 / 3)
         assert np.array_equal(x, ref_x) and np.array_equal(w, ref_w)
@@ -156,6 +160,16 @@ class TestIntegrate:
         # read as converged
         res = integrate(lambda t: np.full_like(t, math.nan), 1.0, 2.0)
         assert not res.converged
+
+    def test_machine_width_panels_not_converged(self):
+        # every panel is one ulp wide, so none can be split, while the error
+        # total still misses the tolerance
+        step = lambda t: (t > 1.0 + 4 * math.ulp(1.0)).astype(float)
+        _, error, subdivisions, converged = _adaptive(
+            step, 1.0, 1.0 + 8 * math.ulp(1.0), QuadratureSpec(abs_tol=1e-300, rel_tol=1e-300)
+        )
+        assert error > 1e-300 and subdivisions == 0
+        assert not converged
 
     def test_deterministic(self):
         r1 = integrate(lambda t: semicircle(t) / (t + 0.3), 1.0, 2.0)

@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 import gmeanrep
-from gmeanrep import representation
+from gmeanrep import quadrature, representation
 from gmeanrep.boundary import segments
 from gmeanrep.means import (
     CutViolation,
@@ -62,19 +62,29 @@ class TestRemainder:
         assert rem.value == sum((c for _, c, _ in rem.per_segment), 0j)
         assert [idx for idx, _, _ in rem.per_segment] == [1, 2, 3]
 
-    def test_paths(self):
+    def test_panels(self):
         a = Sequence((1, 2, 3))
-        # far from the cut every segment takes the fixed rule
-        assert remainder(a, 1.0).paths == ("fixed", "fixed")
-        # the pole -z inside segment 1, next to the cut: split there
-        assert remainder(a, complex(-1.5, 1e-4)).paths[0] == "split"
-        # the pole just beyond the end of segment 2: adaptive, no split
-        assert remainder(a, complex(-3.001, 1e-4)).paths[1] == "adaptive"
-        # a tolerance no rule can certify always falls back
-        spec = QuadratureSpec(abs_tol=1e-30, rel_tol=1e-30, max_subdivisions=2)
+        # far from the cut every segment is one panel
+        assert remainder(a, 1.0).panels == (1, 1)
+        # the pole -z inside segment 1, next to the cut
+        assert remainder(a, complex(-1.5, 1e-4)).panels[0] > 1
+        # the pole just beyond the end of segment 2
+        assert remainder(a, complex(-3.001, 1e-4)).panels[1] > 1
+        # a tolerance no rule can certify raises after the planned panels
         with pytest.raises(QuadratureFailure) as exc:
-            remainder(a, 1.0, spec)
-        assert exc.value.result.paths == ("adaptive", "adaptive")
+            remainder(a, 1.0, QuadratureSpec(abs_tol=1e-30, rel_tol=1e-30))
+        assert exc.value.result.panels == (2, 2)
+        # a plan beyond the panel budget raises with the whole-segment value
+        with pytest.raises(QuadratureFailure) as exc:
+            remainder(a, complex(-1.5, 1e-4), QuadratureSpec(max_subdivisions=4))
+        assert exc.value.result.panels == (1, 1)
+        assert "segment(s) [1]" in str(exc.value)
+
+    def test_subnormal_distance_raises(self):
+        # below the normal range 1/(t+z) overflows on the narrowest panels;
+        # that must raise, never return nan
+        with pytest.raises(QuadratureFailure):
+            remainder(Sequence((1, 2, 3)), complex(-1.5, 1e-310))
 
     def test_real_axis_realness(self):
         rem = remainder(Sequence((1, 2, 3)), 4.0)
@@ -100,6 +110,11 @@ class TestRemainder:
         floor = np.finfo(float).eps / 1e-7 * abs(near.value)
         assert near.total_error_estimate >= floor
         assert near.total_error_estimate > far.total_error_estimate
+
+    def test_flag_is_relative_to_the_entries(self):
+        # z = 0 is as far from the cut of (1e-300, 2e-300) as 0 is from (1, 2)
+        rem = remainder(Sequence((1e-300, 2e-300)), 0.0)
+        assert rem.total_error_estimate <= 1e-12 * rem.value.real
 
     def test_runtime_needs_no_scipy(self):
         # the runtime depends on numpy alone
@@ -133,8 +148,9 @@ class TestFixedRule:
             zs = representation_z_grid(a)[::4]
             zs += [complex(-a.min + 10.0 ** rng.uniform(-3, 1), 0.0) for _ in range(4)]
             zs += [complex(rng.uniform(-a.max, -a.min), 10.0 ** rng.uniform(-2, 0.5)) for _ in range(6)]
+            whole = [representation._Panel(seg, 0.0, seg.lo, seg.hi, seg.m_lo, seg.m_hi) for seg in segs]
             for z in zs:
-                values, estimates = representation._fixed_rule(a.values, segs, z, 1.0)
+                values, estimates = representation._fixed_rule(a.values, whole, z, 1.0)
                 for seg, value, est in zip(segs, values, estimates):
                     if not est <= max(spec.abs_tol, spec.rel_tol * abs(value)):
                         continue
@@ -262,14 +278,50 @@ class TestStructuralProperties:
             assert abs(gmean_via_representation(a, z) - principal_gmean(a, z)) <= 1e-8
 
     def test_near_cut_error_estimate_honesty(self):
-        # achieved remainder error within 10x the estimate, 1e-6..1e-2 off the loaded cut
+        # achieved remainder error within 10x the estimate, 1e-300..1e-2 off the loaded cut
         rng = np.random.default_rng(49)
         for _ in range(30):
             a = random_sequence(rng)
             if a.max == a.min:
                 continue
             for sign in (1.0, -1.0):
-                z = complex(rng.uniform(-a.max, -a.min), sign * 10.0 ** rng.uniform(-6, -2))
+                z = complex(rng.uniform(-a.max, -a.min), sign * 10.0 ** rng.uniform(-300, -2))
                 rem = remainder(a, z)
                 truth = arithmetic_mean(a) + z - principal_gmean(a, z)
                 assert abs(rem.value - truth) <= 10.0 * rem.total_error_estimate, (a.values, z)
+
+    @pytest.mark.parametrize("d", [1e-2, 1e-6, 1e-8, 1e-12, 1e-20, 1e-40, 1e-100, 1e-300])
+    def test_near_cut_probe(self, d):
+        # the middle of the loaded cut, d above it: computed, within the estimate
+        rng = np.random.default_rng(2026)
+        probe = [Sequence((1, 2, 3))]
+        while len(probe) < 13:
+            a = random_sequence(rng)
+            if a.max > a.min:
+                probe.append(a)
+        for a in probe:
+            z = complex(-0.5 * (a.min + a.max), d)
+            rem = remainder(a, z)
+            truth = arithmetic_mean(a) + z - principal_gmean(a, z)
+            assert abs(rem.value - truth) <= rem.total_error_estimate, (a.values, z)
+
+
+def test_remainder_never_calls_the_adaptive_engine(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the adaptive engine was called")
+
+    monkeypatch.setattr(quadrature, "_adaptive", refuse)
+    rng = np.random.default_rng(52)
+    for _ in range(20):
+        a = random_sequence(rng)
+        for z in representation_z_grid(a)[::4]:
+            remainder(a, z)
+        # near the loaded cut
+        for _ in range(4):
+            remainder(a, complex(rng.uniform(-a.max, -a.min), 10.0 ** rng.uniform(-6, -2)))
+    wide = Sequence(10.0 ** rng.uniform(-1.0, 1.0, 200))
+    for z in (0.0, 1 + 1j, complex(-0.5 * (wide.min + wide.max), 0.3)):
+        remainder(wide, z)
+    a, z = Sequence((1, 2, 3)), complex(-1.5, 1e-300)
+    rem = remainder(a, z)
+    assert abs(rem.value - (arithmetic_mean(a) + z - principal_gmean(a, z))) <= rem.total_error_estimate
