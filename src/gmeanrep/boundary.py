@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .means import Sequence, gmean_excess_shifted
-from .quadrature import QuadratureFailure, QuadratureSpec, integrate
+from .quadrature import QuadratureFailure, integrate
 
 
 class DomainError(ValueError):
@@ -148,11 +148,13 @@ def density_samples(a: Sequence, points_per_segment: int = 101):
     return rows
 
 
-def density_moment(a: Sequence, order: int, spec: QuadratureSpec | None = None) -> float:
+def density_moment(a: Sequence, order: int) -> float:
     """Weighted moment ``sum_l w_l * int_{a_l}^{a_{l+1}} t**order * density dt``.
 
     The zeroth moment is the total mass of the remainder measure and equals
-    half the population variance of the entries.
+    half the population variance of the entries.  Each segment integral goes
+    through :func:`gmeanrep.quadrature.integrate` at its default
+    ``QuadratureSpec()``.
 
     Raises:
         QuadratureFailure: if any segment integral fails to converge; the
@@ -160,12 +162,10 @@ def density_moment(a: Sequence, order: int, spec: QuadratureSpec | None = None) 
     """
     if order < 0:
         raise ValueError(f"moment order must be >= 0, got {order}")
-    if spec is None:
-        spec = QuadratureSpec()
     total = 0.0
     failed = []
     for seg in segments(a):
-        res = integrate(lambda t: seg.density(t) * t**order, seg.lo, seg.hi, spec)
+        res = integrate(lambda t: seg.density(t) * t**order, seg.lo, seg.hi)
         total += seg.weight * float(res.value.real if isinstance(res.value, complex) else res.value)
         if not res.converged:
             failed.append(seg.index)

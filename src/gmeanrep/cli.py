@@ -31,7 +31,6 @@ import os
 import pathlib
 import re
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,7 +44,7 @@ from .means import (
     geometric_mean,
     principal_gmean,
 )
-from .quadrature import QuadratureFailure, QuadratureSpec
+from .quadrature import QuadratureFailure
 from .representation import am_gm_gap, remainder
 from .verify import cut_distance, run_suites
 
@@ -130,35 +129,6 @@ def _csv_text(header: list[str], rows: list[list[str]]) -> str:
     return buf.getvalue()
 
 
-def _quad_spec(args) -> QuadratureSpec:
-    return QuadratureSpec(abs_tol=args.abs_tol, rel_tol=args.rel_tol)
-
-
-def _add_tol_args(sub) -> None:
-    sub.add_argument("--abs-tol", type=float, default=1e-12, help="quadrature absolute tolerance")
-    sub.add_argument("--rel-tol", type=float, default=1e-10, help="quadrature relative tolerance")
-
-
-@dataclass(frozen=True)
-class EvalReport:
-    """Paired direct/representation evaluation with error decomposition."""
-
-    direct_value: complex
-    repr_value: complex
-    abs_error: float
-    quad_error_estimate: float
-    segments_evaluated: int
-
-    def to_dict(self) -> dict:
-        return {
-            "direct_value": {"re": self.direct_value.real, "im": self.direct_value.imag},
-            "repr_value": {"re": self.repr_value.real, "im": self.repr_value.imag},
-            "abs_error": self.abs_error,
-            "quad_error_estimate": self.quad_error_estimate,
-            "segments_evaluated": self.segments_evaluated,
-        }
-
-
 # ---------------------------------------------------------------------------
 # commands
 
@@ -166,19 +136,18 @@ class EvalReport:
 def cmd_eval(args) -> int:
     a = parse_sequence(args.a)
     z = parse_complex(args.z)
-    spec = _quad_spec(args)
     direct = principal_gmean(a, z)
-    rem = remainder(a, z, spec)
+    rem = remainder(a, z)
     via = arithmetic_mean(a) + z - rem.value
-    report = EvalReport(
-        direct_value=direct,
-        repr_value=via,
-        abs_error=abs(direct - via),
-        quad_error_estimate=rem.total_error_estimate,
-        segments_evaluated=len(rem.per_segment),
-    )
+    abs_error = abs(direct - via)
     if args.format == "json":
-        payload = report.to_dict()
+        payload = {
+            "direct_value": {"re": direct.real, "im": direct.imag},
+            "repr_value": {"re": via.real, "im": via.imag},
+            "abs_error": abs_error,
+            "quad_error_estimate": rem.total_error_estimate,
+            "segments_evaluated": len(rem.per_segment),
+        }
         if args.detail:
             payload["remainder"] = rem.to_dict()
         text = json.dumps(payload, indent=2) + "\n"
@@ -186,8 +155,7 @@ def cmd_eval(args) -> int:
         header = ["direct_re", "direct_im", "repr_re", "repr_im", "abs_error",
                   "quad_error_estimate", "segments_evaluated"]
         row = [ffmt(direct.real), ffmt(direct.imag), ffmt(via.real), ffmt(via.imag),
-               ffmt(report.abs_error), ffmt(report.quad_error_estimate),
-               str(report.segments_evaluated)]
+               ffmt(abs_error), ffmt(rem.total_error_estimate), str(len(rem.per_segment))]
         text = _csv_text(header, [row])
     else:
         text = (
@@ -195,9 +163,9 @@ def cmd_eval(args) -> int:
             f"z                    {cfmt(z)}\n"
             f"direct_value         {cfmt(direct)}\n"
             f"repr_value           {cfmt(via)}\n"
-            f"abs_error            {ffmt(report.abs_error)}\n"
-            f"quad_error_estimate  {ffmt(report.quad_error_estimate)}\n"
-            f"segments_evaluated   {report.segments_evaluated}\n"
+            f"abs_error            {ffmt(abs_error)}\n"
+            f"quad_error_estimate  {ffmt(rem.total_error_estimate)}\n"
+            f"segments_evaluated   {len(rem.per_segment)}\n"
         )
     return _emit(text, args.out)
 
@@ -231,7 +199,6 @@ def cmd_density(args) -> int:
 
 def cmd_gap(args) -> int:
     a = parse_sequence(args.a)
-    spec = _quad_spec(args)
     am = arithmetic_mean(a)
     gm = geometric_mean(a)
     row = [
@@ -239,7 +206,7 @@ def cmd_gap(args) -> int:
         ffmt(am),
         ffmt(gm),
         ffmt(am - gm),
-        ffmt(am_gm_gap(a, spec)),
+        ffmt(am_gm_gap(a)),
     ]
     return _emit(_csv_text(["a", "A", "G", "gap_direct", "gap_repr"], [row]), args.out)
 
@@ -248,26 +215,17 @@ def cmd_contour(args) -> int:
     a = parse_sequence(args.a)
     z = parse_complex(args.z)
     bd = cauchy_eval(a, z, ContourSpec(eps=args.eps, r=args.r))
+    pieces = (
+        ("small_arc", bd.small_arc), ("outer_arc", bd.outer_arc),
+        ("upper_line", bd.upper_line), ("lower_line", bd.lower_line),
+        ("total", bd.total),
+    )
     if args.format == "json":
         text = json.dumps(bd.to_dict(), indent=2) + "\n"
     elif args.format == "table":
-        text = "".join(
-            f"{name:<12} {cfmt(val)}\n"
-            for name, val in (
-                ("small_arc", bd.small_arc), ("outer_arc", bd.outer_arc),
-                ("upper_line", bd.upper_line), ("lower_line", bd.lower_line),
-                ("total", bd.total),
-            )
-        )
+        text = "".join(f"{name:<12} {cfmt(val)}\n" for name, val in pieces)
     else:
-        rows = [
-            [name, ffmt(val.real), ffmt(val.imag)]
-            for name, val in (
-                ("small_arc", bd.small_arc), ("outer_arc", bd.outer_arc),
-                ("upper_line", bd.upper_line), ("lower_line", bd.lower_line),
-                ("total", bd.total),
-            )
-        ]
+        rows = [[name, ffmt(val.real), ffmt(val.imag)] for name, val in pieces]
         text = _csv_text(["piece", "re", "im"], rows)
     return _emit(text, args.out)
 
@@ -316,7 +274,6 @@ def cmd_verify(args) -> int:
 
 def cmd_sweep(args) -> int:
     a = parse_sequence(args.a)
-    spec = _quad_spec(args)
     am = arithmetic_mean(a)
     rows = []
     for re_z in np.linspace(args.re_min, args.re_max, args.grid):
@@ -325,7 +282,7 @@ def cmd_sweep(args) -> int:
             if cut_distance(a, z) < 0.05:
                 continue
             direct = principal_gmean(a, z)
-            rem = remainder(a, z, spec)
+            rem = remainder(a, z)
             via = am + z - rem.value
             rows.append(
                 [ffmt(z.real), ffmt(z.imag), ffmt(abs(direct - via)),
@@ -347,7 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("eval", help="direct vs representation value at one point")
     p.add_argument("--a", required=True, help="comma-separated positive entries (sorted on use)")
     p.add_argument("--z", required=True, help="evaluation point, a+bi form")
-    _add_tol_args(p)
     p.add_argument("--format", choices=("json", "csv", "table"), default="json")
     p.add_argument("--detail", action="store_true", help="include per-segment remainder data (json)")
     p.add_argument("--out", default=None, help="output path (stdout when omitted)")
@@ -364,7 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("gap", help="arithmetic-minus-geometric gap (csv)")
     p.add_argument("--a", required=True)
-    _add_tol_args(p)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_gap)
 
@@ -394,7 +349,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--re-max", type=float, default=5.0)
     p.add_argument("--im-min", type=float, default=-3.0)
     p.add_argument("--im-max", type=float, default=3.0)
-    _add_tol_args(p)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_sweep)
 

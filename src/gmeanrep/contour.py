@@ -199,14 +199,12 @@ def cauchy_eval(a: Sequence, z, spec: ContourSpec | None = None) -> ContourBreak
     return ContourBreakdown(small, outer, upper, lower, total)
 
 
-def line_collapse_check(
-    a: Sequence, z, eps: float, r: float, spec: QuadratureSpec | None = None
-) -> tuple[complex, complex]:
+def line_collapse_check(a: Sequence, z, eps: float, r: float) -> tuple[complex, complex]:
     """The two line pieces against their collapsed cut-limit form.
 
     Returns ``(upper + lower, -R_shifted(z))``, where ``R_shifted`` is the
     remainder transform of the rebased entries computed by
-    :mod:`gmeanrep.representation` under ``spec``.  The pair agrees to
+    :mod:`gmeanrep.representation` to its one accuracy target.  The pair agrees to
     ``O(eps**(1/n))`` plus discretization error.
 
     Raises:
@@ -220,8 +218,6 @@ def line_collapse_check(
     _check_geometry(a, z, eps, r)
     if not r > a.max:
         raise GeometryError(f"need r > max(a), got r={r}, max={a.max}")
-    if spec is None:
-        spec = QuadratureSpec()
     upper, lower = _line_terms(a, z, eps, r)
-    collapsed = -representation._remainder_raw(a.shifted(), z, spec, 1.0).value
+    collapsed = -representation._remainder_raw(a.shifted(), z, 1.0).value
     return upper + lower, collapsed

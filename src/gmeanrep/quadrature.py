@@ -54,9 +54,13 @@ class QuadratureFailure(RuntimeError):
 class QuadratureSpec:
     """Tolerances and work limits for integration.
 
-    ``max_subdivisions`` bounds the panel splits of the adaptive engine and,
-    in :func:`gmeanrep.representation.remainder`, the number of panels one
-    segment may be cut into.
+    The default is the library's one accuracy target:
+    :mod:`gmeanrep.representation` holds every remainder to it (there
+    ``max_subdivisions`` bounds the panels one segment may be cut into), and
+    :func:`integrate` uses it when no spec is given, as ``density_moment``
+    and the contour's arcs do.  Other values are for the adaptive engine
+    alone: the contour's line budget and the tight references of the tests
+    and the ``quad-*`` suites.
     """
 
     abs_tol: float = 1e-12

@@ -14,23 +14,29 @@ Every segment integral is computed with one rule, the
 endpoint powers ``(t - a_l)**(m_l/n)`` and ``(a_{l+1} - t)**(m_{l+1}/n)``,
 with the a-priori error bound ``C * rho**(-2N) * sum_j |W_j / (t_j + z)|``.
 It is applied first to the whole segment and, where that bound misses the
-caller's ``QuadratureSpec``, to panels planned from the segment's known
-singularities, the entries and the pole ``-z``, before anything is evaluated
-(:func:`_plan`).  ``RemainderValue.panels`` records the panel count per
-segment.  All of it runs on the entries scaled by a power of two to
-``max(a)`` in [1, 2) (``R`` is homogeneous of degree 1), so entries from
-1e-300 to 1e308 neither under- nor overflow.
+one accuracy target ``_SPEC``, the default ``QuadratureSpec()``, to panels
+planned from the segment's known singularities, the entries and the pole
+``-z``, before anything is evaluated (:func:`_plan`); ``_SPEC`` also bounds
+the panels of one segment.  No caller chooses another target: the 1e-8
+equivalence gate is the one contract it serves.  ``RemainderValue.panels``
+records the panel count per segment.  All of it runs on the entries scaled by
+a power of two to ``max(a)`` in [1, 2) (``R`` is homogeneous of degree 1), so
+entries from 1e-300 to 1e308 neither under- nor overflow.
 
 ``z = 0`` needs no special handling: the integration variable stays >= min(a)
 > 0, so ``1/(t+z)`` is bounded for every ``re(z) > -min(a)``.  Within 1e-6 of
 the loaded cut (measured on the scaled entries) the error estimate grows by
 ``eps / distance`` times the value, flagging the point; the value itself is
-computed down to distances of 1e-300 (README "Numerical notes").
+computed down to distances of 1e-300.  A pole closer than ``1/DBL_MAX`` to a
+segment, on the scaled entries, would need panels on which ``1/(t+z)``
+overflows, so that segment is not planned and the call raises at once with
+the finite whole-segment value (README "Numerical notes").
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -47,8 +53,14 @@ from .quadrature import (
     segment_rule,
 )
 
+# the one accuracy target: the tolerances every segment must meet and the
+# panel budget of one segment
+_SPEC = QuadratureSpec()
 # below this distance, on the scaled entries, results are flagged ill-conditioned
 _ILL_CONDITIONED = 1e-6
+# a pole closer than this to a segment, on the scaled entries, would need
+# panels on which 1/(t+z) overflows
+_TINY = 1.0 / sys.float_info.max
 # constant of the a-priori bound: Trefethen's 64/15 for Gauss rules
 # (SIAM Rev. 2008, Thm 4.5); on seeded corpora the achieved error stays
 # below 1.3 rho**(-2N) times the same sum
@@ -183,12 +195,11 @@ def _fixed_rule(
     return np.concatenate(vals), np.concatenate(ests)
 
 
-def _plan(
-    values: tuple[float, ...], seg: SegmentDensity, z: complex, spec: QuadratureSpec
-) -> list[_Panel] | None:
+def _plan(values: tuple[float, ...], seg: SegmentDensity, z: complex) -> list[_Panel] | None:
     """Panels for a segment the whole-segment rule does not admit, chosen
     from its singularities alone, or ``None`` when more than
-    ``spec.max_subdivisions`` would be needed.
+    ``_SPEC.max_subdivisions`` would be needed or the pole lies within
+    ``_TINY`` of the segment.
 
     The segment is cut at the pole projection ``x0 = -re(z)`` when that lies
     inside, and each part at its midpoint, so every half has one anchor:
@@ -196,16 +207,19 @@ def _plan(
     singularity.  A half is one panel while that panel's Bernstein ellipse
     through the pole, the neighbouring entries and the segment ends it does
     not touch is wide enough for its bound to meet ``_PLAN_MARGIN`` times
-    ``spec.rel_tol`` (never finer than roundoff); otherwise it is cut at
+    ``_SPEC.rel_tol`` (never finer than roundoff); otherwise it is cut at
     ``_GRADING`` of its length from the anchor end and both pieces are
     checked again.  Offsets stay relative to the anchor (``x0 + z`` is
     exactly ``i*im(z)``).
     """
-    rho = (_BOUND_C / max(_PLAN_MARGIN * spec.rel_tol, _ROUNDOFF)) ** (0.5 / JACOBI_NODES)
+    x0 = -z.real
+    nearest = min(max(x0, seg.lo), seg.hi)
+    if math.hypot(x0 - nearest, z.imag) < _TINY:
+        return None
+    rho = (_BOUND_C / max(_PLAN_MARGIN * _SPEC.rel_tol, _ROUNDOFF)) ** (0.5 / JACOBI_NODES)
     # semi-major axis of that ellipse, in units of the panel's half-width
     s_need = 0.5 * (rho + 1.0 / rho)
     prev, after = _neighbours(values, seg)
-    x0 = -z.real
     if seg.lo < x0 < seg.hi:
         left, right = 0.5 * (x0 - seg.lo), 0.5 * (seg.hi - x0)
         halves = ((seg.lo, left), (x0, -left), (x0, right), (seg.hi, -right))
@@ -219,7 +233,7 @@ def _plan(
         neighbours = (prev - anchor, after - anchor)
         work = [(0.0, far)]
         while work:
-            if len(panels) + len(work) > spec.max_subdivisions:
+            if len(panels) + len(work) > _SPEC.max_subdivisions:
                 return None
             a, b = work.pop()  # a is the end nearer the anchor
             lo, hi = min(a, b), max(a, b)
@@ -235,9 +249,7 @@ def _plan(
     return panels
 
 
-def _remainder_raw(
-    values: tuple[float, ...], z: complex, spec: QuadratureSpec, density_scale: float
-) -> RemainderValue:
+def _remainder_raw(values: tuple[float, ...], z: complex, density_scale: float) -> RemainderValue:
     if values[0] == values[-1]:
         return RemainderValue(0j, (), 0.0, ())
     # R is homogeneous of degree 1, R_a(z) = s * R_{a/s}(z/s): work on entries
@@ -246,7 +258,7 @@ def _remainder_raw(
     scale = math.ldexp(1.0, math.frexp(values[-1])[1] - 1)
     scaled = tuple(v / scale for v in values)
     zs = z / scale
-    abs_tol = max(spec.abs_tol / scale, math.ulp(0.0))
+    abs_tol = max(_SPEC.abs_tol / scale, math.ulp(0.0))
     segs = _segments_raw(scaled)
     first = [_Panel(seg, 0.0, seg.lo, seg.hi, seg.m_lo, seg.m_hi) for seg in segs]
     vals, ests = _fixed_rule(scaled, first, zs, density_scale)
@@ -255,13 +267,13 @@ def _remainder_raw(
 
     def admitted(i: int) -> bool:
         # an overflowed value or estimate can never certify itself
-        return ests[i] <= max(abs_tol, spec.rel_tol * abs(vals[i])) < math.inf
+        return ests[i] <= max(abs_tol, _SPEC.rel_tol * abs(vals[i])) < math.inf
 
     failed = []
     for i, seg in enumerate(segs):
         if admitted(i):
             continue
-        plan = _plan(scaled, seg, zs, spec)
+        plan = _plan(scaled, seg, zs)
         if plan is not None:
             panel_vals, panel_ests = _fixed_rule(scaled, plan, zs, density_scale)
             with np.errstate(invalid="ignore", over="ignore"):
@@ -286,9 +298,7 @@ def _remainder_raw(
     return result
 
 
-def remainder(
-    a: Sequence, z, spec: QuadratureSpec | None = None, density_scale: float = 1.0
-) -> RemainderValue:
+def remainder(a: Sequence, z, density_scale: float = 1.0) -> RemainderValue:
     """The remainder transform ``R(z)`` of the sequence at a point off the cut.
 
     For real ``z > -min(a)`` the value is real nonnegative up to quadrature
@@ -297,30 +307,25 @@ def remainder(
 
     Raises:
         CutViolation: for ``z`` on ``(-inf, -min(a)]``.
-        QuadratureFailure: when a segment's estimate misses the tolerance
-            or its panel plan needs more than ``spec.max_subdivisions``
-            panels; the partial :class:`RemainderValue` rides on the
-            exception.
+        QuadratureFailure: when a segment's estimate misses the tolerance,
+            its panel plan needs more than ``max_subdivisions`` panels, or
+            ``z`` lies within about 5e-309 times ``max(a)`` of a segment
+            (``1/(t+z)`` would overflow there); the partial
+            :class:`RemainderValue` rides on the exception.
     """
     z = complex(_check_point(z))
     _check_cut(z, -a.values[0], "remainder")
-    if spec is None:
-        spec = QuadratureSpec()
-    return _remainder_raw(a.values, z, spec, density_scale)
+    return _remainder_raw(a.values, z, density_scale)
 
 
-def gmean_via_representation(
-    a: Sequence, z, spec: QuadratureSpec | None = None, density_scale: float = 1.0
-) -> complex:
+def gmean_via_representation(a: Sequence, z, density_scale: float = 1.0) -> complex:
     """Principal geometric mean reconstructed as ``A + z - R(z)``."""
     z = complex(_check_point(z))
-    rem = remainder(a, z, spec, density_scale)
+    rem = remainder(a, z, density_scale)
     return math.fsum(a.values) / a.n + z - rem.value
 
 
-def shifted_excess_via_representation(
-    a: Sequence, z, spec: QuadratureSpec | None = None
-) -> complex:
+def shifted_excess_via_representation(a: Sequence, z) -> complex:
     """Rebased excess reconstructed from the rebased representation.
 
     Uses the segments of ``a - a1`` directly: ``A(a - a1) - R_shifted(z)``.
@@ -333,14 +338,12 @@ def shifted_excess_via_representation(
     """
     z = complex(_check_point(z))
     _check_cut(z, 0.0, "shifted_excess_via_representation")
-    if spec is None:
-        spec = QuadratureSpec()
     shifted = a.shifted()
-    rem = _remainder_raw(shifted, z, spec, 1.0)
+    rem = _remainder_raw(shifted, z, 1.0)
     return math.fsum(shifted) / a.n - rem.value
 
 
-def am_gm_gap(a: Sequence, spec: QuadratureSpec | None = None) -> float:
+def am_gm_gap(a: Sequence) -> float:
     """Arithmetic-minus-geometric gap via the representation at ``z = 0``.
 
     Nonnegative, and zero exactly when all entries coincide (no segments).
@@ -348,4 +351,4 @@ def am_gm_gap(a: Sequence, spec: QuadratureSpec | None = None) -> float:
     Raises:
         QuadratureFailure: as :func:`remainder`.
     """
-    return remainder(a, 0.0, spec).value.real
+    return remainder(a, 0.0).value.real

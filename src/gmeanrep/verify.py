@@ -1,9 +1,10 @@
 """Batch verification suites: every library invariant, run over seeded corpora.
 
 Each invariant's contracts and tolerances are written once, in its suite, and
-every suite integrates under the one ``QuadratureSpec()``, so no option moves
-a bound.  :func:`run_suite` runs one suite on a given generator and case count
-(the tests call it); :func:`run_suites`, behind ``gmeanrep verify``, runs all
+every suite integrates to the library's one accuracy target, the default
+``QuadratureSpec()``, so no option moves a bound.  :func:`run_suite` runs one
+suite on a given generator and case count (the tests call it);
+:func:`run_suites`, behind ``gmeanrep verify``, runs all
 of them on per-suite substreams of the master seed, with the case caps of
 ``_SUITES``, so reports are byte-identical across runs.  ``perturb_density``
 is fault injection: it must break the representation-equivalence suite.
@@ -32,8 +33,13 @@ from .quadrature import QuadratureSpec, integrate, kronrod_panel
 
 _EPS = float(np.finfo(float).eps)
 
-# every suite's one quadrature configuration; mass-identity's bound derives from it
+# the adaptive engine's default, which density_moment integrates to; the quad
+# suites test the engine at it, and mass-identity's bound derives from it
 _QUAD = QuadratureSpec()
+# representation-equivalence points per sequence, and their least distance
+# to the cut
+_Z_GRID_COUNT = 40
+_Z_GRID_MIN_DIST = 0.05
 
 
 @dataclass
@@ -109,10 +115,11 @@ def cut_distance(a: Sequence, z: complex) -> float:
     return math.hypot(z.real + a.min, z.imag)
 
 
-def representation_z_grid(a: Sequence, count: int = 40, min_dist: float = 0.05) -> list[complex]:
-    """Deterministic grid of evaluation points at distance >= min_dist from
-    the cut: real points right of the cut, rings around the origin, and
-    points hugging the loaded cut portion from above and below."""
+def representation_z_grid(a: Sequence) -> list[complex]:
+    """Deterministic grid of ``_Z_GRID_COUNT`` evaluation points at distance
+    >= ``_Z_GRID_MIN_DIST`` from the cut: real points right of the cut,
+    rings around the origin, and points hugging the loaded cut portion from
+    above and below."""
     out: list[complex] = []
     for d in (0.05, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 50.0, 1000.0):
         out.append(complex(-a.min + d, 0.0))
@@ -123,7 +130,7 @@ def representation_z_grid(a: Sequence, count: int = 40, min_dist: float = 0.05) 
     for x in np.linspace(-a.max, -a.min, 5):
         for y in (0.05, -0.05, 0.4, -0.4):
             out.append(complex(float(x), y))
-    return [z for z in out if cut_distance(a, z) >= min_dist][:count]
+    return [z for z in out if cut_distance(a, z) >= _Z_GRID_MIN_DIST][:_Z_GRID_COUNT]
 
 
 def stable_large_z_deficit(a: Sequence, big: float) -> float:
@@ -297,7 +304,7 @@ def _suite_boundary_scaling(rng, cases, ctx, res: SuiteResult):
 def _suite_mass_identity(rng, cases, ctx, res: SuiteResult):
     for _ in range(cases):
         a = random_sequence(rng)
-        m0 = boundary.density_moment(a, 0, _QUAD)
+        m0 = boundary.density_moment(a, 0)
         am = arithmetic_mean(a)
         var_half = (math.fsum(v * v for v in a.values) / a.n - am * am) / 2.0
         tol = 10.0 * max(_QUAD.abs_tol, _QUAD.rel_tol * abs(m0)) + 1e-13
@@ -407,7 +414,7 @@ def _suite_representation_equivalence(rng, cases, ctx, res: SuiteResult):
         a = ctx["fixed"] or random_sequence(rng)
         for z in representation_z_grid(a):
             direct = principal_gmean(a, z)
-            via = representation.gmean_via_representation(a, z, _QUAD, density_scale=scale)
+            via = representation.gmean_via_representation(a, z, density_scale=scale)
             err = abs(via - direct)
             res.record(err)
             if err > max(1e-8, 1e-8 * abs(direct)):
@@ -417,7 +424,7 @@ def _suite_representation_equivalence(rng, cases, ctx, res: SuiteResult):
 def _suite_am_gm_gap(rng, cases, ctx, res: SuiteResult):
     for _ in range(cases):
         a = ctx["fixed"] or random_sequence(rng)
-        gap = representation.am_gm_gap(a, _QUAD)
+        gap = representation.am_gm_gap(a)
         direct = arithmetic_mean(a) - geometric_mean(a)
         res.record(abs(gap - direct))
         if gap < -1e-10:
@@ -447,7 +454,7 @@ def _suite_complete_monotonicity(rng, cases, ctx, res: SuiteResult):
         a = random_sequence(rng)
         for delta in np.geomspace(0.1, a.min + 1e3, 8):
             z0 = -a.min + float(delta)
-            vals = [representation.remainder(a, z0 + k * step, _QUAD).value.real for k in range(5)]
+            vals = [representation.remainder(a, z0 + k * step).value.real for k in range(5)]
             for m in range(5):
                 diff = math.fsum((-1.0) ** (m - j) * comb(m, j) * vals[j] for j in range(m + 1))
                 signed = (-1.0) ** m * diff
@@ -463,8 +470,8 @@ def _suite_monotone_decrease(rng, cases, ctx, res: SuiteResult):
             continue
         z1 = -a.min + 10.0 ** rng.uniform(-1.0, 2.0)
         z2 = z1 + 10.0 ** rng.uniform(-1.0, 1.0)
-        r1 = representation.remainder(a, z1, _QUAD).value.real
-        r2 = representation.remainder(a, z2, _QUAD).value.real
+        r1 = representation.remainder(a, z1).value.real
+        r2 = representation.remainder(a, z2).value.real
         res.record(max(0.0, r2 - r1))
         if not r2 < r1 + 1e-10:
             res.fail((a.values, z1, z2), "remainder strictly decreasing on the real axis", (r1, r2))
@@ -474,7 +481,7 @@ def _suite_large_z_decay(rng, cases, ctx, res: SuiteResult):
     for _ in range(cases):
         a = random_sequence(rng)
         am = arithmetic_mean(a)
-        m0 = boundary.density_moment(a, 0, _QUAD)
+        m0 = boundary.density_moment(a, 0)
         for big in (1e3, 1e4, 1e5):
             dev = abs(gmean_excess(a, complex(big, 0.0)) - am)
             bound = m0 / big * 1.01 + 64.0 * _EPS * (big + am)
@@ -530,8 +537,8 @@ def _suite_contour_reconstruction(rng, cases, ctx, res: SuiteResult):
 def _suite_contour_line_collapse(rng, cases, ctx, res: SuiteResult):
     for _ in range(cases):
         a, z = _contour_case(rng)
-        d4 = abs(np.subtract(*contour.line_collapse_check(a, z, 1e-4, 1e3, _QUAD)))
-        d6 = abs(np.subtract(*contour.line_collapse_check(a, z, 1e-6, 1e3, _QUAD)))
+        d4 = abs(np.subtract(*contour.line_collapse_check(a, z, 1e-4, 1e3)))
+        d6 = abs(np.subtract(*contour.line_collapse_check(a, z, 1e-6, 1e3)))
         res.record(d6)
         if d4 > 1e-3 or d6 > 1e-3:
             res.fail((a.values, z), "line sum within 1e-3 of collapsed cut integral", (d4, d6))
@@ -548,7 +555,7 @@ def _suite_contour_limit_attribution(rng, cases, ctx, res: SuiteResult):
         res.record(err_arc)
         if err_arc > 1e-6:
             res.fail((a.values, z), "outer arc reproduces the rebased arithmetic mean", err_arc)
-        lines, collapsed = contour.line_collapse_check(a, z, 1e-4, 1e3, _QUAD)
+        lines, collapsed = contour.line_collapse_check(a, z, 1e-4, 1e3)
         if abs(lines - collapsed) > 1e-3:
             res.fail((a.values, z), "lines reproduce the cut-density integral within 1e-3", abs(lines - collapsed))
 

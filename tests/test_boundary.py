@@ -150,12 +150,14 @@ class TestDensityMoment:
         with pytest.raises(ValueError):
             density_moment(Sequence((1, 2)), -1)
 
-    def test_non_convergence_carries_partial_sum(self):
+    def test_non_convergence_carries_partial_sum(self, monkeypatch):
+        from gmeanrep import boundary, quadrature
         from gmeanrep.quadrature import QuadratureFailure, QuadratureSpec
 
         spec = QuadratureSpec(abs_tol=1e-30, rel_tol=1e-30, max_subdivisions=2)
+        monkeypatch.setattr(boundary, "integrate", lambda f, lo, hi: quadrature.integrate(f, lo, hi, spec))
         with pytest.raises(QuadratureFailure) as exc:
-            density_moment(Sequence((1, 2)), 0, spec)
+            density_moment(Sequence((1, 2)), 0)
         assert abs(exc.value.result - 0.125) <= 1e-6
 
 

@@ -94,9 +94,8 @@ class TestEval:
         assert "(-inf, -1.0]" in err
 
     def test_quadrature_failure_exit(self, capsys):
-        code, _, err = run(
-            capsys, "eval", "--a", "1,2", "--z", "0.5", "--abs-tol", "1e-30", "--rel-tol", "1e-30"
-        )
+        # the pole 1e-310 off the middle of the segment cannot be planned
+        code, _, err = run(capsys, "eval", "--a", "1,2", "--z=-1.5+1e-310i")
         assert code == EXIT_QUAD
 
     def test_missing_argument_is_config_error(self, capsys):
@@ -228,10 +227,12 @@ class TestVerifyCommand:
         assert "overall: pass" in out
 
     def test_no_tolerance_flags(self, capsys):
-        # suites use one quadrature configuration; no flag moves their bounds
-        for flag in ("--abs-tol", "--rel-tol"):
-            code, _, _ = run(capsys, "verify", "--cases", "1", flag, "1e-6")
-            assert code == EXIT_CONFIG
+        # the library has one accuracy target; no flag moves it or a bound
+        for argv in (("verify", "--cases", "1"), ("eval", "--a", "1,2", "--z", "1"),
+                     ("gap", "--a", "1,2"), ("sweep", "--a", "1,2", "--grid", "2")):
+            for flag in ("--abs-tol", "--rel-tol"):
+                code, _, _ = run(capsys, *argv, flag, "1e-6")
+                assert code == EXIT_CONFIG, (argv, flag)
 
 
 class TestOutput:

@@ -11,7 +11,7 @@ import pytest
 from gmeanrep import representation
 from gmeanrep.boundary import segments
 from gmeanrep.means import principal_gmean
-from gmeanrep.quadrature import JACOBI_NODES, QuadratureSpec, gauss_jacobi, integrate
+from gmeanrep.quadrature import JACOBI_NODES, gauss_jacobi, integrate
 from gmeanrep.representation import remainder
 from gmeanrep.verify import random_sequence
 
@@ -82,7 +82,6 @@ def test_bound_covers_planned_panels():
     # to the cut (off by 1.7e-10 at 1e-7)
     mp = pytest.importorskip("mpmath")
     mp.mp.dps = 30
-    spec = QuadratureSpec()
     rng = np.random.default_rng(74)
     checked = 0
     for _ in range(4):
@@ -93,7 +92,7 @@ def test_bound_covers_planned_panels():
         zs.append(complex(-a.max - 1e-3, 1e-4))  # the pole just beyond the last segment
         for z in zs:
             for seg in segments(a):
-                plan = representation._plan(a.values, seg, z, spec)
+                plan = representation._plan(a.values, seg, z)
                 values, estimates = representation._fixed_rule(a.values, plan, z, 1.0)
                 for panel, value, est in zip(plan, values, estimates):
                     offsets = [mp.mpf(v) - panel.anchor for v in a.values]

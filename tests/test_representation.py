@@ -1,5 +1,6 @@
 """Integral-representation layer: remainder transform and derived quantities."""
 
+import cmath
 import math
 from dataclasses import replace
 
@@ -62,7 +63,7 @@ class TestRemainder:
         assert rem.value == sum((c for _, c, _ in rem.per_segment), 0j)
         assert [idx for idx, _, _ in rem.per_segment] == [1, 2, 3]
 
-    def test_panels(self):
+    def test_panels(self, monkeypatch):
         a = Sequence((1, 2, 3))
         # far from the cut every segment is one panel
         assert remainder(a, 1.0).panels == (1, 1)
@@ -71,20 +72,32 @@ class TestRemainder:
         # the pole just beyond the end of segment 2
         assert remainder(a, complex(-3.001, 1e-4)).panels[1] > 1
         # a tolerance no rule can certify raises after the planned panels
+        monkeypatch.setattr(representation, "_SPEC", QuadratureSpec(abs_tol=1e-30, rel_tol=1e-30))
         with pytest.raises(QuadratureFailure) as exc:
-            remainder(a, 1.0, QuadratureSpec(abs_tol=1e-30, rel_tol=1e-30))
+            remainder(a, 1.0)
         assert exc.value.result.panels == (2, 2)
         # a plan beyond the panel budget raises with the whole-segment value
+        monkeypatch.setattr(representation, "_SPEC", QuadratureSpec(max_subdivisions=4))
         with pytest.raises(QuadratureFailure) as exc:
-            remainder(a, complex(-1.5, 1e-4), QuadratureSpec(max_subdivisions=4))
+            remainder(a, complex(-1.5, 1e-4))
         assert exc.value.result.panels == (1, 1)
         assert "segment(s) [1]" in str(exc.value)
 
     def test_subnormal_distance_raises(self):
-        # below the normal range 1/(t+z) overflows on the narrowest panels;
-        # that must raise, never return nan
-        with pytest.raises(QuadratureFailure):
-            remainder(Sequence((1, 2, 3)), complex(-1.5, 1e-310))
+        # below 1/DBL_MAX, on the scaled entries, 1/(t+z) would overflow on
+        # the narrowest panels: no panel is planned and the call raises at
+        # once with the finite whole-segment value, never nan
+        for im in (1e-310, 1e-308, 5e-324):
+            with pytest.raises(QuadratureFailure) as exc:
+                remainder(Sequence((1, 2, 3)), complex(-1.5, im))
+            partial = exc.value.result
+            assert cmath.isfinite(partial.value), im
+            assert partial.panels == (1, 1), im
+            assert "segment(s) [1]" in str(exc.value)
+        # just above that bound the planned panels still compute the value
+        a, z = Sequence((1, 2, 3)), complex(-1.5, 3e-308)
+        rem = remainder(a, z)
+        assert abs(rem.value - (arithmetic_mean(a) + z - principal_gmean(a, z))) <= rem.total_error_estimate
 
     def test_real_axis_realness(self):
         rem = remainder(Sequence((1, 2, 3)), 4.0)
@@ -95,10 +108,11 @@ class TestRemainder:
         with pytest.raises(CutViolation):
             remainder(Sequence((1, 2)), -1.5)
 
-    def test_non_convergence_carries_partial_result(self):
+    def test_non_convergence_carries_partial_result(self, monkeypatch):
         spec = QuadratureSpec(abs_tol=1e-30, rel_tol=1e-30, max_subdivisions=2)
+        monkeypatch.setattr(representation, "_SPEC", spec)
         with pytest.raises(QuadratureFailure) as exc:
-            remainder(Sequence((1, 2)), 0.0, spec)
+            remainder(Sequence((1, 2)), 0.0)
         partial = exc.value.result
         assert isinstance(partial, RemainderValue)
         assert abs(partial.value - GAP_12) <= 1e-6
@@ -136,7 +150,7 @@ class TestFixedRule:
     def test_bound_covers_admitted_pairs(self):
         # every (segment, z) pair the a-priori bound admits is within its
         # estimate of a tight adaptive reference
-        spec = QuadratureSpec()
+        spec = representation._SPEC
         tight = QuadratureSpec(abs_tol=1e-16, rel_tol=1e-13)
         rng = np.random.default_rng(50)
         admitted = 0
@@ -222,7 +236,7 @@ class TestAmGmGap:
 
     def test_corpus_properties_suite_can_fail(self, monkeypatch):
         exact = representation.am_gm_gap
-        monkeypatch.setattr(representation, "am_gm_gap", lambda a, spec=None: exact(a, spec) + 1e-6)
+        monkeypatch.setattr(representation, "am_gm_gap", lambda a: exact(a) + 1e-6)
         contracts = [f["contract"] for f in seeded_suite("am-gm-gap", 44, 50).failures]
         assert contracts.count("representation gap matches direct A - G within 1e-9") == 50
 
@@ -242,6 +256,16 @@ class TestAmGmGap:
         gap = am_gm_gap(Sequence((1e-300, 2e-300)))
         assert gap == pytest.approx(self.direct_gap(1e-300, 2e-300), rel=1e-12)
 
+    @pytest.mark.parametrize("entries", [(1e-310, 1.0), (1e-300, 1e300), (5e-324, 1.7e308)])
+    def test_subnormal_ratio_raises(self, entries):
+        # min/max below 1/DBL_MAX: the pole z = 0 touches the scaled segment,
+        # so it is not planned and the whole-segment value rides on the raise
+        with pytest.raises(QuadratureFailure) as exc:
+            am_gm_gap(Sequence(entries))
+        partial = exc.value.result
+        assert cmath.isfinite(partial.value)
+        assert partial.panels == (1,)
+
 
 class TestStructuralProperties:
     def test_herglotz_positivity(self):
@@ -257,8 +281,8 @@ class TestStructuralProperties:
         # R(z) + z increases along the real axis
         exact = representation.remainder
 
-        def rising(a, z, spec=None):
-            res = exact(a, z, spec)
+        def rising(a, z):
+            res = exact(a, z)
             return replace(res, value=res.value + z)
 
         monkeypatch.setattr(representation, "remainder", rising)
