@@ -45,7 +45,7 @@ from .means import (
     principal_gmean,
 )
 from .quadrature import QuadratureFailure
-from .representation import am_gm_gap, remainder
+from .representation import _reconstruct, am_gm_gap, remainder
 from .verify import cut_distance, run_suites
 
 EXIT_OK = 0
@@ -138,7 +138,7 @@ def cmd_eval(args) -> int:
     z = parse_complex(args.z)
     direct = principal_gmean(a, z)
     rem = remainder(a, z)
-    via = arithmetic_mean(a) + z - rem.value
+    via = _reconstruct(a, z, rem)
     abs_error = abs(direct - via)
     if args.format == "json":
         payload = {
@@ -274,20 +274,18 @@ def cmd_verify(args) -> int:
 
 def cmd_sweep(args) -> int:
     a = parse_sequence(args.a)
-    am = arithmetic_mean(a)
-    rows = []
-    for re_z in np.linspace(args.re_min, args.re_max, args.grid):
-        for im_z in np.linspace(args.im_min, args.im_max, args.grid):
-            z = complex(float(re_z), float(im_z))
-            if cut_distance(a, z) < 0.05:
-                continue
-            direct = principal_gmean(a, z)
-            rem = remainder(a, z)
-            via = am + z - rem.value
-            rows.append(
-                [ffmt(z.real), ffmt(z.imag), ffmt(abs(direct - via)),
-                 ffmt(rem.total_error_estimate)]
-            )
+    grid = [
+        complex(float(re_z), float(im_z))
+        for re_z in np.linspace(args.re_min, args.re_max, args.grid)
+        for im_z in np.linspace(args.im_min, args.im_max, args.grid)
+    ]
+    zs = [z for z in grid if cut_distance(a, z) >= 0.05]
+    points = np.array(zs, dtype=complex)
+    rems = remainder(a, points)
+    rows = [
+        [ffmt(z.real), ffmt(z.imag), ffmt(abs(principal_gmean(a, z) - via)), ffmt(rem.total_error_estimate)]
+        for z, via, rem in zip(zs, _reconstruct(a, points, rems).tolist(), rems)
+    ]
     return _emit(_csv_text(["re_z", "im_z", "abs_error", "quad_error"], rows), args.out)
 
 

@@ -315,9 +315,16 @@ def bernstein_rho(lo, hi, t):
     represent gives ``inf``.
     """
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        s = (np.abs(t - lo) + np.abs(t - hi)) / (np.asarray(hi) - lo)
-        s = np.maximum(s, 1.0)
-        return s + np.sqrt((s - 1.0) * (s + 1.0))
+        return _ellipse_rho((np.abs(t - lo) + np.abs(t - hi)) / (np.asarray(hi) - lo))
+
+
+def _ellipse_rho(s):
+    """:func:`bernstein_rho` from the semi-major axis ``s``, for a caller that
+    already ignores overflow and invalid operations.  Non-decreasing in
+    ``s``, so the smallest ``s`` of several points gives their smallest
+    ``rho`` exactly."""
+    s = np.maximum(s, 1.0)
+    return s + np.sqrt((s - 1.0) * (s + 1.0))
 
 
 def _tanh_sinh_wrap(f, lo: float, hi: float):

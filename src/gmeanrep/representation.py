@@ -23,6 +23,14 @@ records the panel count per segment.  All of it runs on the entries scaled by
 a power of two to ``max(a)`` in [1, 2) (``R`` is homogeneous of degree 1), so
 entries from 1e-300 to 1e308 neither under- nor overflow.
 
+``remainder`` and ``gmean_via_representation`` take a complex scalar or a
+1-D array of points.  The rule weights do not depend on ``z``, so an array
+call builds them once per block of segments and forms only ``1/(t_j + z)``
+and the pole's ``rho`` per point (:func:`_fixed_rule`); admission, the plan
+and the planned panels stay per (segment, ``z``).  The scalar call is the
+length-one case of the same code, and a point's result is bit for bit the
+same in any batch.
+
 ``z = 0`` needs no special handling: the integration variable stays >= min(a)
 > 0, so ``1/(t+z)`` is bounded for every ``re(z) > -min(a)``.  Within 1e-6 of
 the loaded cut (measured on the scaled entries) the error estimate grows by
@@ -49,7 +57,7 @@ from .quadrature import (
     JACOBI_NODES,
     QuadratureFailure,
     QuadratureSpec,
-    bernstein_rho,
+    _ellipse_rho,
     segment_rule,
 )
 
@@ -131,10 +139,11 @@ def _neighbours(values: tuple[float, ...], seg: SegmentDensity) -> tuple[float, 
 
 
 def _fixed_rule(
-    values: tuple[float, ...], panels: list[_Panel], z: complex, density_scale: float
+    values: tuple[float, ...], panels: list[_Panel], z, density_scale: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Gauss–Jacobi values of the panel integrals ``int density/(t+z) dt``
-    and their a-priori error estimates, one entry per panel.
+    and their a-priori error estimates, of shape ``z.shape + (len(panels),)``
+    for a complex scalar or array ``z``.
 
     On a panel with ``t = anchor + u``, ``u`` running from ``lo`` to ``hi``
     with half-width ``h``, the density is ``h**(p+q) * (1+x)**p * (1-x)**q *
@@ -148,34 +157,49 @@ def _fixed_rule(
     for the smallest Bernstein ellipse through the pole ``-z``, the entry
     below and the entry above the panel (the segment's own end where the
     panel does not touch it), floored at the adaptive panels' roundoff share
-    of the same sum.  Panels go in blocks whose largest temporary has about
-    ``_BLOCK`` elements.
+    of the same sum.
+
+    The weights ``W`` and the entries' ``rho`` do not depend on ``z``: they
+    are built once per block of panels, and only ``1/(t_j + z)`` and the
+    pole's ``rho`` are formed per point, on ``z`` chunks.  Blocks and chunks
+    keep the largest temporary at about ``_BLOCK`` elements, and every sum
+    runs along the nodes, the contiguous last axis, so a point's values do
+    not depend on the other points or on the chunking.
     """
     n = len(values)
     v = np.asarray(values)[:, None, None]
+    z = np.asarray(z, dtype=complex)
+    points = z.reshape(-1, 1, 1)
     per_block = max(1, _BLOCK // (n * JACOBI_NODES))
-    vals, ests = [], []
+    vals = np.empty((len(points), len(panels)), dtype=complex)
+    ests = np.empty((len(points), len(panels)))
     for start in range(0, len(panels), per_block):
         block = panels[start : start + per_block]
+        cols = slice(start, start + len(block))
         rules = [segment_rule(p.m_lo, p.m_hi, n) for p in block]
-        x = np.stack([r[0] for r in rules])
-        w = np.stack([r[1] for r in rules])
+        x = np.array([r[0] for r in rules])
+        w = np.array([r[1] for r in rules])
         rows = []
         for p in block:
             prev, after = _neighbours(values, p.seg)
             # the entries at an end the panel touches are in the Jacobi
             # weight (nan matches no entry); the ellipse then passes
             # through the next entry instead of that end
+            below = (prev if p.m_lo else p.seg.lo) - p.anchor
+            above = (after if p.m_hi else p.seg.hi) - p.anchor
             rows.append((
                 p.anchor, p.lo, p.hi, p.seg.lo,
                 p.seg.lo if p.m_lo else math.nan, p.seg.hi if p.m_hi else math.nan,
-                (prev if p.m_lo else p.seg.lo) - p.anchor, (after if p.m_hi else p.seg.hi) - p.anchor,
+                # |t - lo| + |t - hi| of the nearer of the two
+                min(abs(below - p.lo) + abs(below - p.hi), abs(above - p.lo) + abs(above - p.hi)),
                 1.0 + (p.m_lo + p.m_hi) / n,
             ))
-        anchor, lo, hi, seg_lo, in_lo, in_hi, below, above, power = np.array(rows).T[:, :, None]
-        h = 0.5 * (hi - lo)
+        anchor, lo, hi, seg_lo, in_lo, in_hi, near, power = np.array(rows).T[:, :, None]
+        width = hi - lo
+        h = 0.5 * width
         from_lo = h * (1.0 + x)
         from_hi = h * (1.0 - x)
+        per_chunk = max(1, _BLOCK // x.size)
         with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
             # |a_k - t| for every other entry, built in the one block-sized array
             offset = v - anchor
@@ -185,14 +209,17 @@ def _fixed_rule(
             np.copyto(dist, 1.0, where=(v == in_lo) | (v == in_hi))
             log_s = np.log(dist, out=dist).sum(axis=0) / n
             weights = w * h**power * np.exp(log_s) * density_scale
-            shifted = anchor + z
-            terms = weights / np.where(x <= 0.0, (shifted + lo) + from_lo, (shifted + hi) - from_hi)
-            value = terms.sum(axis=1)
-            size = np.abs(terms).sum(axis=1)
-            rho = bernstein_rho(lo, hi, np.concatenate((-z - anchor, below, above), axis=1)).min(axis=1)
-            ests.append(np.maximum(_BOUND_C * rho ** (-2.0 * JACOBI_NODES), _ROUNDOFF) * size)
-        vals.append(value)
-    return np.concatenate(vals), np.concatenate(ests)
+            for c in range(0, len(points), per_chunk):
+                chunk = points[c : c + per_chunk]
+                shifted = anchor + chunk
+                terms = weights / np.where(x <= 0.0, (shifted + lo) + from_lo, (shifted + hi) - from_hi)
+                vals[c : c + per_chunk, cols] = terms.sum(axis=-1)
+                size = np.abs(terms).sum(axis=-1)
+                pole = -chunk - anchor
+                rho = _ellipse_rho(np.minimum(np.abs(pole - lo) + np.abs(pole - hi), near) / width)[..., 0]
+                bound = np.maximum(_BOUND_C * rho ** (-2.0 * JACOBI_NODES), _ROUNDOFF)
+                ests[c : c + per_chunk, cols] = bound * size
+    return vals.reshape(z.shape + (len(panels),)), ests.reshape(z.shape + (len(panels),))
 
 
 def _plan(values: tuple[float, ...], seg: SegmentDensity, z: complex) -> list[_Panel] | None:
@@ -249,80 +276,109 @@ def _plan(values: tuple[float, ...], seg: SegmentDensity, z: complex) -> list[_P
     return panels
 
 
-def _remainder_raw(values: tuple[float, ...], z: complex, density_scale: float) -> RemainderValue:
+def _remainder_raw(
+    values: tuple[float, ...], z, density_scale: float
+) -> RemainderValue | list[RemainderValue]:
+    """``R`` at a complex ``z`` (a :class:`RemainderValue`) or at each point
+    of a 1-D complex array (a list of them), one point at a time except for
+    the whole-segment rule, which takes every point in one call.  A failure
+    names each point that failed and carries the partial result of every
+    point, in the same form."""
+    points = z.tolist() if isinstance(z, np.ndarray) else [z]
     if values[0] == values[-1]:
-        return RemainderValue(0j, (), 0.0, ())
+        results = [RemainderValue(0j, (), 0.0, ())] * len(points)
+        return results if isinstance(z, np.ndarray) else results[0]
     # R is homogeneous of degree 1, R_a(z) = s * R_{a/s}(z/s): work on entries
     # scaled by a power of two (exact), max in [1, 2), so that h**(1+p+q)
     # neither under- nor overflows
     scale = math.ldexp(1.0, math.frexp(values[-1])[1] - 1)
     scaled = tuple(v / scale for v in values)
-    zs = z / scale
+    zs = [p / scale for p in points]
     abs_tol = max(_SPEC.abs_tol / scale, math.ulp(0.0))
     segs = _segments_raw(scaled)
     first = [_Panel(seg, 0.0, seg.lo, seg.hi, seg.m_lo, seg.m_hi) for seg in segs]
-    vals, ests = _fixed_rule(scaled, first, zs, density_scale)
-    vals, ests = vals.tolist(), ests.tolist()
-    counts = [1] * len(segs)
+    whole_vals, whole_ests = _fixed_rule(scaled, first, np.array(zs, dtype=complex), density_scale)
 
-    def admitted(i: int) -> bool:
+    def admitted(val: complex, est: float) -> bool:
         # an overflowed value or estimate can never certify itself
-        return ests[i] <= max(abs_tol, _SPEC.rel_tol * abs(vals[i])) < math.inf
+        return est <= max(abs_tol, _SPEC.rel_tol * abs(val)) < math.inf
 
-    failed = []
-    for i, seg in enumerate(segs):
-        if admitted(i):
-            continue
-        plan = _plan(scaled, seg, zs)
-        if plan is not None:
-            panel_vals, panel_ests = _fixed_rule(scaled, plan, zs, density_scale)
-            with np.errstate(invalid="ignore", over="ignore"):
-                vals[i], ests[i], counts[i] = complex(panel_vals.sum()), float(panel_ests.sum()), len(plan)
-        if plan is None or not admitted(i):
-            failed.append(seg.index)
-    per = tuple(
-        (seg.index, scale * (seg.weight * complex(val)), scale * (seg.weight * est))
-        for seg, val, est in zip(segs, vals, ests)
-    )
-    value = sum((c for _, c, _ in per), 0j)
-    total_err = float(sum(e for _, _, e in per))
-    dist = _loaded_cut_distance(scaled, zs)
-    if dist < _ILL_CONDITIONED:
-        # a relative change eps in z moves R by about eps/dist times its size
-        total_err += math.ulp(1.0) / max(dist, 1e-300) * sum(abs(c) for _, c, _ in per)
-    result = RemainderValue(value, per, total_err, tuple(counts))
-    if failed:
+    results, failures = [], []
+    for point, zk, vals, ests in zip(points, zs, whole_vals.tolist(), whole_ests.tolist()):
+        counts = [1] * len(segs)
+        failed = []
+        for i, seg in enumerate(segs):
+            if admitted(vals[i], ests[i]):
+                continue
+            plan = _plan(scaled, seg, zk)
+            if plan is not None:
+                panel_vals, panel_ests = _fixed_rule(scaled, plan, zk, density_scale)
+                with np.errstate(invalid="ignore", over="ignore"):
+                    vals[i], ests[i], counts[i] = complex(panel_vals.sum()), float(panel_ests.sum()), len(plan)
+            if plan is None or not admitted(vals[i], ests[i]):
+                failed.append(seg.index)
+        per = tuple(
+            (seg.index, scale * (seg.weight * complex(val)), scale * (seg.weight * est))
+            for seg, val, est in zip(segs, vals, ests)
+        )
+        value = sum((c for _, c, _ in per), 0j)
+        total_err = float(sum(e for _, _, e in per))
+        dist = _loaded_cut_distance(scaled, zk)
+        if dist < _ILL_CONDITIONED:
+            # a relative change eps in z moves R by about eps/dist times its size
+            total_err += math.ulp(1.0) / max(dist, 1e-300) * sum(abs(c) for _, c, _ in per)
+        results.append(RemainderValue(value, per, total_err, tuple(counts)))
+        if failed:
+            failures.append(f"z={point!r} on segment(s) {failed}")
+    result = results if isinstance(z, np.ndarray) else results[0]
+    if failures:
         raise QuadratureFailure(
-            f"remainder quadrature did not converge on segment(s) {failed}", result=result
+            f"remainder quadrature did not converge at {'; '.join(failures)}", result=result
         )
     return result
 
 
-def remainder(a: Sequence, z, density_scale: float = 1.0) -> RemainderValue:
+def remainder(a: Sequence, z, density_scale: float = 1.0) -> RemainderValue | list[RemainderValue]:
     """The remainder transform ``R(z)`` of the sequence at a point off the cut.
 
-    For real ``z > -min(a)`` the value is real nonnegative up to quadrature
-    error.  ``density_scale`` rescales the densities and exists for fault
-    injection in the verification harness; leave it at 1.0 for real use.
+    ``z`` may be a complex scalar, giving a :class:`RemainderValue`, or a
+    1-D ndarray, giving a list with one :class:`RemainderValue` per point.
+    Each point's result is bit for bit its scalar call's, whatever batch it
+    comes in.  For real ``z > -min(a)`` the value is real nonnegative up to
+    quadrature error.  ``density_scale`` rescales the densities and exists
+    for fault injection in the verification harness; leave it at 1.0 for
+    real use.
 
     Raises:
-        CutViolation: for ``z`` on ``(-inf, -min(a)]``.
+        CutViolation: for a point on ``(-inf, -min(a)]``.
         QuadratureFailure: when a segment's estimate misses the tolerance,
-            its panel plan needs more than ``max_subdivisions`` panels, or
-            ``z`` lies within about 5e-309 times ``max(a)`` of a segment
-            (``1/(t+z)`` would overflow there); the partial
-            :class:`RemainderValue` rides on the exception.
+            its panel plan needs more than ``max_subdivisions`` panels, or a
+            point lies within about 5e-309 times ``max(a)`` of a segment
+            (``1/(t+z)`` would overflow there).  The message names each
+            point that failed, and the partial result of every point rides
+            on the exception, in the form a success would have returned.
+        ValueError: for a non-finite point or an array that is not 1-D.
     """
-    z = complex(_check_point(z))
+    z = _check_point(z)
+    if isinstance(z, np.ndarray) and z.ndim != 1:
+        raise ValueError(f"remainder takes a scalar or a 1-D array of points, got shape {z.shape}")
     _check_cut(z, -a.values[0], "remainder")
     return _remainder_raw(a.values, z, density_scale)
 
 
-def gmean_via_representation(a: Sequence, z, density_scale: float = 1.0) -> complex:
-    """Principal geometric mean reconstructed as ``A + z - R(z)``."""
-    z = complex(_check_point(z))
-    rem = remainder(a, z, density_scale)
-    return math.fsum(a.values) / a.n + z - rem.value
+def _reconstruct(a: Sequence, z, rem):
+    """``A + z - R(z)`` from checked point(s) ``z`` and their :func:`remainder`."""
+    am = math.fsum(a.values) / a.n
+    if isinstance(z, np.ndarray):
+        return am + z - np.array([r.value for r in rem], dtype=complex)
+    return am + z - rem.value
+
+
+def gmean_via_representation(a: Sequence, z, density_scale: float = 1.0) -> complex | np.ndarray:
+    """Principal geometric mean reconstructed as ``A + z - R(z)``; a 1-D
+    ndarray of ``z`` gives an array, each entry bit for bit its scalar call."""
+    z = _check_point(z)
+    return _reconstruct(a, z, remainder(a, z, density_scale))
 
 
 def shifted_excess_via_representation(a: Sequence, z) -> complex:

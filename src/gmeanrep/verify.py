@@ -2,12 +2,15 @@
 
 Each invariant's contracts and tolerances are written once, in its suite, and
 every suite integrates to the library's one accuracy target, the default
-``QuadratureSpec()``, so no option moves a bound.  :func:`run_suite` runs one
+``QuadratureSpec()``, so no option moves a bound.  The suites that evaluate
+the remainder at several points of one sequence (representation-equivalence,
+complete-monotonicity, monotone-decrease) pass them in one array call; each
+point's result is bit for bit its scalar call's.  :func:`run_suite` runs one
 suite on a given generator and case count (the tests call it);
-:func:`run_suites`, behind ``gmeanrep verify``, runs all
-of them on per-suite substreams of the master seed, with the case caps of
-``_SUITES``, so reports are byte-identical across runs.  ``perturb_density``
-is fault injection: it must break the representation-equivalence suite.
+:func:`run_suites`, behind ``gmeanrep verify``, runs all of them on
+per-suite substreams of the master seed, with the case caps of ``_SUITES``,
+so reports are byte-identical across runs.  ``perturb_density`` is fault
+injection: it must break the representation-equivalence suite.
 """
 
 from __future__ import annotations
@@ -412,9 +415,10 @@ def _suite_representation_equivalence(rng, cases, ctx, res: SuiteResult):
     scale = 1.0 + ctx["perturb_density"]
     for _ in range(cases):
         a = ctx["fixed"] or random_sequence(rng)
-        for z in representation_z_grid(a):
+        zs = representation_z_grid(a)
+        vias = representation.gmean_via_representation(a, np.array(zs), density_scale=scale)
+        for z, via in zip(zs, vias.tolist()):
             direct = principal_gmean(a, z)
-            via = representation.gmean_via_representation(a, z, density_scale=scale)
             err = abs(via - direct)
             res.record(err)
             if err > max(1e-8, 1e-8 * abs(direct)):
@@ -452,9 +456,10 @@ def _suite_complete_monotonicity(rng, cases, ctx, res: SuiteResult):
     step = 0.1
     for _ in range(cases):
         a = random_sequence(rng)
-        for delta in np.geomspace(0.1, a.min + 1e3, 8):
-            z0 = -a.min + float(delta)
-            vals = [representation.remainder(a, z0 + k * step).value.real for k in range(5)]
+        starts = [-a.min + float(delta) for delta in np.geomspace(0.1, a.min + 1e3, 8)]
+        rems = representation.remainder(a, np.array([z0 + k * step for z0 in starts for k in range(5)]))
+        for i, z0 in enumerate(starts):
+            vals = [r.value.real for r in rems[5 * i : 5 * i + 5]]
             for m in range(5):
                 diff = math.fsum((-1.0) ** (m - j) * comb(m, j) * vals[j] for j in range(m + 1))
                 signed = (-1.0) ** m * diff
@@ -470,8 +475,7 @@ def _suite_monotone_decrease(rng, cases, ctx, res: SuiteResult):
             continue
         z1 = -a.min + 10.0 ** rng.uniform(-1.0, 2.0)
         z2 = z1 + 10.0 ** rng.uniform(-1.0, 1.0)
-        r1 = representation.remainder(a, z1).value.real
-        r2 = representation.remainder(a, z2).value.real
+        r1, r2 = (r.value.real for r in representation.remainder(a, np.array([z1, z2])))
         res.record(max(0.0, r2 - r1))
         if not r2 < r1 + 1e-10:
             res.fail((a.values, z1, z2), "remainder strictly decreasing on the real axis", (r1, r2))

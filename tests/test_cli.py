@@ -3,6 +3,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,10 +16,13 @@ from gmeanrep.cli import (
     EXIT_QUAD,
     EXIT_VERIFY,
     cfmt,
+    ffmt,
     main,
     parse_complex,
     parse_sequence,
 )
+from gmeanrep.means import principal_gmean
+from gmeanrep.representation import gmean_via_representation, remainder
 
 
 def run(capsys, *argv):
@@ -81,6 +85,11 @@ class TestEval:
         doc = json.loads(out)
         assert len(doc["remainder"]["per_segment"]) == 2
         assert [seg["panels"] for seg in doc["remainder"]["per_segment"]] == [1, 1]
+
+    def test_repr_value_is_the_library_reconstruction(self, capsys):
+        _, out, _ = run(capsys, "eval", "--a", "0.3,2,2,9", "--z=-1+0.5i")
+        via = gmean_via_representation(parse_sequence("0.3,2,2,9"), complex(-1, 0.5))
+        assert json.loads(out)["repr_value"] == {"re": via.real, "im": via.imag}
 
     def test_constant_sequence(self, capsys):
         code, out, _ = run(capsys, "eval", "--a", "5,5,5", "--z", "1+1i")
@@ -181,6 +190,19 @@ class TestSweep:
         for line in lines[1:]:
             re_z, im_z, abs_err, quad_err = map(float, line.split(","))
             assert abs_err <= 1e-8
+
+    def test_rows_match_scalar_calls(self, capsys):
+        # the one array call over the grid gives the bits of a call per point
+        _, out, _ = run(capsys, "sweep", "--a", "1,2,3")
+        a = parse_sequence("1,2,3")
+        rows = ["re_z,im_z,abs_error,quad_error"]
+        for re_z in np.linspace(-0.9, 5.0, 20):
+            for im_z in np.linspace(-3.0, 3.0, 20):
+                z = complex(float(re_z), float(im_z))
+                error = abs(principal_gmean(a, z) - gmean_via_representation(a, z))
+                fields = (z.real, z.imag, error, remainder(a, z).total_error_estimate)
+                rows.append(",".join(ffmt(f) for f in fields))
+        assert out.splitlines() == rows
 
     def test_deterministic_bytes(self, capsys):
         _, out1, _ = run(capsys, "sweep", "--a", "1,2", "--grid", "4")

@@ -146,6 +146,98 @@ class TestRemainder:
         assert bumped == pytest.approx(1.001 * base, rel=1e-9)
 
 
+def _bits(rem: RemainderValue) -> str:
+    # repr round-trips every float and tells -0.0 from 0.0
+    return repr((rem.value, rem.per_segment, rem.total_error_estimate, rem.panels))
+
+
+def _assert_batch_is_scalar(a, zs, batch=None):
+    batch = remainder(a, np.array(zs, dtype=complex)) if batch is None else batch
+    assert len(batch) == len(zs)
+    for z, got in zip(zs, batch):
+        assert _bits(got) == _bits(remainder(a, z)), (a.values, z)
+
+
+class TestBatch:
+    """A point of an array call is bit for bit its scalar call."""
+
+    def test_corpus_grids(self):
+        rng = np.random.default_rng(60)
+        for _ in range(12):
+            a = random_sequence(rng)
+            zs = representation_z_grid(a)
+            _assert_batch_is_scalar(a, zs)
+            via = gmean_via_representation(a, np.array(zs))
+            assert repr(via.tolist()) == repr([gmean_via_representation(a, z) for z in zs])
+
+    def test_near_cut_planned_panels(self):
+        rng = np.random.default_rng(61)
+        planned = 0
+        for _ in range(8):
+            a = random_sequence(rng)
+            if a.max == a.min:
+                continue
+            zs = [
+                complex(rng.uniform(-a.max, -a.min), sign * 10.0 ** rng.uniform(-300, -2))
+                for sign in (1, -1) * 4
+            ]
+            batch = remainder(a, np.array(zs))
+            planned += sum(k > 1 for rem in batch for k in rem.panels)
+            _assert_batch_is_scalar(a, zs, batch)
+        assert planned > 10
+
+    def test_shuffled_batch(self):
+        a = Sequence((0.3, 1.0, 1.0, 2.5, 7.0))
+        zs = representation_z_grid(a) + [complex(-1.7, 1e-5), complex(-0.5, -1e-9)]
+        order = np.random.default_rng(62).permutation(len(zs))
+        _assert_batch_is_scalar(a, [zs[i] for i in order])
+
+    def test_batch_longer_than_one_chunk(self):
+        # (1, 2, 3) has 2 segments: a chunk holds _BLOCK // (2 * JACOBI_NODES) points
+        a = Sequence((1, 2, 3))
+        per_chunk = representation._BLOCK // (2 * quadrature.JACOBI_NODES)
+        rng = np.random.default_rng(63)
+        zs = [complex(rng.uniform(-3.0, 3.0), rng.uniform(-2.0, 2.0)) for _ in range(2 * per_chunk + 7)]
+        _assert_batch_is_scalar(a, zs)
+
+    def test_many_blocks_and_chunks(self, monkeypatch):
+        # blocks of one panel and chunks of a few points give the same bits
+        rng = np.random.default_rng(64)
+        a = Sequence(10.0 ** rng.uniform(-1.0, 1.0, 8))
+        zs = representation_z_grid(a)
+        scalar = [_bits(remainder(a, z)) for z in zs]
+        monkeypatch.setattr(representation, "_BLOCK", 3 * quadrature.JACOBI_NODES)
+        assert [_bits(rem) for rem in remainder(a, np.array(zs))] == scalar
+
+    def test_empty_batch(self):
+        assert remainder(Sequence((1, 2, 3)), np.array([], dtype=complex)) == []
+        assert remainder(Sequence((4, 4)), np.array([])) == []
+        assert gmean_via_representation(Sequence((1, 2, 3)), np.array([])).shape == (0,)
+
+    def test_failure_names_the_point(self):
+        a = Sequence((1, 2, 3))
+        bad = complex(-1.5, 1e-310)
+        zs = [1.0 + 0j, complex(-1.5, 1e-4), bad, 0j]
+        with pytest.raises(QuadratureFailure) as exc:
+            remainder(a, np.array(zs))
+        assert f"z={bad!r} on segment(s) [1]" in str(exc.value)
+        assert str(exc.value).count("z=") == 1
+        partial = exc.value.result
+        assert len(partial) == len(zs)
+        assert all(cmath.isfinite(rem.value) for rem in partial)
+        with pytest.raises(QuadratureFailure) as one:
+            remainder(a, bad)
+        assert _bits(partial[2]) == _bits(one.value.result)
+        for z, rem in zip(zs[:2] + zs[3:], partial[:2] + partial[3:]):
+            assert _bits(rem) == _bits(remainder(a, z))
+
+    def test_point_on_the_cut(self):
+        with pytest.raises(CutViolation):
+            remainder(Sequence((1, 2, 3)), np.array([1.0, -2.0, 1j]))
+        with pytest.raises(ValueError):
+            remainder(Sequence((1, 2, 3)), np.ones((2, 2)))
+
+
 class TestFixedRule:
     def test_bound_covers_admitted_pairs(self):
         # every (segment, z) pair the a-priori bound admits is within its
@@ -282,8 +374,7 @@ class TestStructuralProperties:
         exact = representation.remainder
 
         def rising(a, z):
-            res = exact(a, z)
-            return replace(res, value=res.value + z)
+            return [replace(res, value=res.value + p) for res, p in zip(exact(a, z), z)]
 
         monkeypatch.setattr(representation, "remainder", rising)
         res = seeded_suite("monotone-decrease", 47, 20)
