@@ -14,7 +14,6 @@ from .boundary import (
     SegmentDensity,
     boundary_imag_limit,
     boundary_imag_numeric,
-    density_moment,
     density_samples,
     segments,
 )
@@ -47,6 +46,7 @@ from .quadrature import (
 from .representation import (
     RemainderValue,
     am_gm_gap,
+    density_moment,
     gmean_via_representation,
     remainder,
     shifted_excess_via_representation,

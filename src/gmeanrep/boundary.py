@@ -9,6 +9,7 @@ that limit is exactly the density integrated by the remainder transform in
 
 Densities are always evaluated in log space (products of up to n small
 factors underflow otherwise) and vanish identically at segment endpoints.
+All closed forms: :mod:`gmeanrep.representation` integrates the densities.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from typing import Callable
 import numpy as np
 
 from .means import Sequence, gmean_excess_shifted
-from .quadrature import QuadratureFailure, integrate
 
 
 class DomainError(ValueError):
@@ -146,31 +146,3 @@ def density_samples(a: Sequence, points_per_segment: int = 101):
         for t, d in zip(ts, dens):
             rows.append((float(t), float(d), float(seg.weight * d), seg.index))
     return rows
-
-
-def density_moment(a: Sequence, order: int) -> float:
-    """Weighted moment ``sum_l w_l * int_{a_l}^{a_{l+1}} t**order * density dt``.
-
-    The zeroth moment is the total mass of the remainder measure and equals
-    half the population variance of the entries.  Each segment integral goes
-    through :func:`gmeanrep.quadrature.integrate` at its default
-    ``QuadratureSpec()``.
-
-    Raises:
-        QuadratureFailure: if any segment integral fails to converge; the
-            partial sum is attached to the exception.
-    """
-    if order < 0:
-        raise ValueError(f"moment order must be >= 0, got {order}")
-    total = 0.0
-    failed = []
-    for seg in segments(a):
-        res = integrate(lambda t: seg.density(t) * t**order, seg.lo, seg.hi)
-        total += seg.weight * float(res.value.real if isinstance(res.value, complex) else res.value)
-        if not res.converged:
-            failed.append(seg.index)
-    if failed:
-        raise QuadratureFailure(
-            f"moment quadrature did not converge on segment(s) {failed}", result=total
-        )
-    return total

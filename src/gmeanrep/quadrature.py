@@ -6,8 +6,8 @@ rule by Golub–Welsch; :func:`segment_rule` caches the rule whose weight
 behaviour exactly (Gauss–Legendre on a panel that touches no entry), and
 :func:`bernstein_rho` gives the ellipse parameter of the a-priori bound on
 that rule's error.  :mod:`gmeanrep.representation` computes every remainder
-with them alone.  The keyhole contour and ``density_moment`` go through the
-adaptive engine below.
+and moment with them alone.  The keyhole contour, the ``quad-*`` suites and
+the tests' tight references use the adaptive engine below.
 
 The adaptive engine pairs a 15-point Kronrod rule with its embedded 7-point Gauss rule
 for per-panel error estimation, refines the worst panel first, and routes the
@@ -55,12 +55,12 @@ class QuadratureSpec:
     """Tolerances and work limits for integration.
 
     The default is the library's one accuracy target:
-    :mod:`gmeanrep.representation` holds every remainder to it (there
-    ``max_subdivisions`` bounds the panels one segment may be cut into), and
-    :func:`integrate` uses it when no spec is given, as ``density_moment``
-    and the contour's arcs do.  Other values are for the adaptive engine
-    alone: the contour's line budget and the tight references of the tests
-    and the ``quad-*`` suites.
+    :mod:`gmeanrep.representation` holds every remainder and every density
+    moment to it (there ``max_subdivisions`` bounds the panels one segment
+    may be cut into), and :func:`integrate` uses it when no spec is given, as
+    the contour's arcs do.  Other values are for the adaptive engine alone:
+    the contour's line budget and the tight references of the tests and the
+    ``quad-*`` suites.
     """
 
     abs_tol: float = 1e-12

@@ -12,7 +12,8 @@ Every segment integral is computed with one rule, the
 ``JACOBI_NODES``-point Gauss–Jacobi rule of
 :func:`gmeanrep.quadrature.segment_rule`, whose weight carries the density's
 endpoint powers ``(t - a_l)**(m_l/n)`` and ``(a_{l+1} - t)**(m_{l+1}/n)``,
-with the a-priori error bound ``C * rho**(-2N) * sum_j |W_j / (t_j + z)|``.
+with the a-priori error bound ``C * rho**(-2N) * sum_j |W_j * k(t_j)|`` for
+a kernel ``k``: ``1/(t + z)`` for ``R``, ``t**order`` for ``density_moment``.
 It is applied first to the whole segment and, where that bound misses the
 one accuracy target ``_SPEC``, the default ``QuadratureSpec()``, to panels
 planned from the segment's known singularities, the entries and the pole
@@ -138,77 +139,89 @@ def _neighbours(values: tuple[float, ...], seg: SegmentDensity) -> tuple[float, 
     return (values[below] if below >= 0 else -math.inf, values[above] if above < len(values) else math.inf)
 
 
-def _fixed_rule(
-    values: tuple[float, ...], panels: list[_Panel], z, density_scale: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss–Jacobi values of the panel integrals ``int density/(t+z) dt``
-    and their a-priori error estimates, of shape ``z.shape + (len(panels),)``
-    for a complex scalar or array ``z``.
+def _panel_weights(values: tuple[float, ...], panels: list[_Panel], density_scale: float):
+    """The z-free part of the rule on a block of panels, for a caller that
+    ignores overflow and invalid operations: nodes ``x`` and, one column per
+    panel, ``anchor``, ``lo``, ``hi``, the nodes' distances to the ends, the
+    weights ``W``, ``near`` and ``width``; ``near / width`` is the semi-major
+    axis of the Bernstein ellipse through the neighbouring entries.
 
     On a panel with ``t = anchor + u``, ``u`` running from ``lo`` to ``hi``
     with half-width ``h``, the density is ``h**(p+q) * (1+x)**p * (1-x)**q *
     s(t)`` with ``p = m_lo/n``, ``q = m_hi/n`` and ``s`` the product over the
     other entries, analytic on the panel.  The rule carries the Jacobi
-    weight, so the value is ``sum_j W_j / (t_j + z)`` with
-    ``W_j = w_j * h**(1+p+q) * s(t_j)``.  The distances to the panel's ends,
-    ``h*(1+x)`` and ``h*(1-x)``, are added to the entries' and the pole's
-    offsets from those ends, so nodes near an end keep their relative
-    accuracy.  The estimate is ``C * rho**(-2N) * sum_j |W_j / (t_j + z)|``
-    for the smallest Bernstein ellipse through the pole ``-z``, the entry
-    below and the entry above the panel (the segment's own end where the
-    panel does not touch it), floored at the adaptive panels' roundoff share
-    of the same sum.
-
-    The weights ``W`` and the entries' ``rho`` do not depend on ``z``: they
-    are built once per block of panels, and only ``1/(t_j + z)`` and the
-    pole's ``rho`` are formed per point, on ``z`` chunks.  Blocks and chunks
-    keep the largest temporary at about ``_BLOCK`` elements, and every sum
-    runs along the nodes, the contiguous last axis, so a point's values do
-    not depend on the other points or on the chunking.
+    weight, so ``W_j = w_j * h**(1+p+q) * s(t_j)``.  The distances to the
+    ends, ``h*(1+x)`` and ``h*(1-x)``, are added to the entries' offsets from
+    those ends, so nodes near an end keep their relative accuracy.
     """
     n = len(values)
     v = np.asarray(values)[:, None, None]
+    rules = [segment_rule(p.m_lo, p.m_hi, n) for p in panels]
+    x = np.array([r[0] for r in rules])
+    w = np.array([r[1] for r in rules])
+    rows = []
+    for p in panels:
+        prev, after = _neighbours(values, p.seg)
+        # the entries at an end the panel touches are in the Jacobi
+        # weight (nan matches no entry); the ellipse then passes
+        # through the next entry instead of that end
+        below = (prev if p.m_lo else p.seg.lo) - p.anchor
+        above = (after if p.m_hi else p.seg.hi) - p.anchor
+        rows.append((
+            p.anchor, p.lo, p.hi, p.seg.lo,
+            p.seg.lo if p.m_lo else math.nan, p.seg.hi if p.m_hi else math.nan,
+            # |t - lo| + |t - hi| of the nearer of the two
+            min(abs(below - p.lo) + abs(below - p.hi), abs(above - p.lo) + abs(above - p.hi)),
+            1.0 + (p.m_lo + p.m_hi) / n,
+        ))
+    anchor, lo, hi, seg_lo, in_lo, in_hi, near, power = np.array(rows).T[:, :, None]
+    width = hi - lo
+    h = 0.5 * width
+    from_lo = h * (1.0 + x)
+    from_hi = h * (1.0 - x)
+    # |a_k - t| for every other entry, built in the one block-sized array
+    offset = v - anchor
+    under = v <= seg_lo
+    dist = np.where(under, from_lo, from_hi)
+    dist += np.where(under, lo - offset, offset - hi)
+    np.copyto(dist, 1.0, where=(v == in_lo) | (v == in_hi))
+    log_s = np.log(dist, out=dist).sum(axis=0) / n
+    weights = w * h**power * np.exp(log_s) * density_scale
+    return x, anchor, lo, hi, from_lo, from_hi, weights, near, width
+
+
+def _bound(s):
+    """``C * rho**(-2N)`` for semi-major axis ``s``, floored at roundoff."""
+    return np.maximum(_BOUND_C * _ellipse_rho(s) ** (-2.0 * JACOBI_NODES), _ROUNDOFF)
+
+
+def _fixed_rule(
+    values: tuple[float, ...], panels: list[_Panel], z, density_scale: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss–Jacobi values ``sum_j W_j / (t_j + z)`` of the panel integrals
+    ``int density/(t+z) dt`` and their estimates ``C * rho**(-2N) * sum_j
+    |W_j / (t_j + z)|`` for the smallest ellipse through the pole ``-z`` and
+    the neighbours, of shape ``z.shape + (len(panels),)`` for a complex
+    scalar or array ``z``.
+
+    The weights of :func:`_panel_weights` are built once per block of panels,
+    and only ``1/(t_j + z)`` and the pole's ``rho`` are formed per point, on
+    ``z`` chunks.  Blocks and chunks keep the largest temporary at about
+    ``_BLOCK`` elements, and every sum runs along the nodes, the contiguous
+    last axis, so a point's values do not depend on the other points or on
+    the chunking.
+    """
     z = np.asarray(z, dtype=complex)
     points = z.reshape(-1, 1, 1)
-    per_block = max(1, _BLOCK // (n * JACOBI_NODES))
+    per_block = max(1, _BLOCK // (len(values) * JACOBI_NODES))
     vals = np.empty((len(points), len(panels)), dtype=complex)
     ests = np.empty((len(points), len(panels)))
-    for start in range(0, len(panels), per_block):
-        block = panels[start : start + per_block]
-        cols = slice(start, start + len(block))
-        rules = [segment_rule(p.m_lo, p.m_hi, n) for p in block]
-        x = np.array([r[0] for r in rules])
-        w = np.array([r[1] for r in rules])
-        rows = []
-        for p in block:
-            prev, after = _neighbours(values, p.seg)
-            # the entries at an end the panel touches are in the Jacobi
-            # weight (nan matches no entry); the ellipse then passes
-            # through the next entry instead of that end
-            below = (prev if p.m_lo else p.seg.lo) - p.anchor
-            above = (after if p.m_hi else p.seg.hi) - p.anchor
-            rows.append((
-                p.anchor, p.lo, p.hi, p.seg.lo,
-                p.seg.lo if p.m_lo else math.nan, p.seg.hi if p.m_hi else math.nan,
-                # |t - lo| + |t - hi| of the nearer of the two
-                min(abs(below - p.lo) + abs(below - p.hi), abs(above - p.lo) + abs(above - p.hi)),
-                1.0 + (p.m_lo + p.m_hi) / n,
-            ))
-        anchor, lo, hi, seg_lo, in_lo, in_hi, near, power = np.array(rows).T[:, :, None]
-        width = hi - lo
-        h = 0.5 * width
-        from_lo = h * (1.0 + x)
-        from_hi = h * (1.0 - x)
-        per_chunk = max(1, _BLOCK // x.size)
-        with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
-            # |a_k - t| for every other entry, built in the one block-sized array
-            offset = v - anchor
-            under = v <= seg_lo
-            dist = np.where(under, from_lo, from_hi)
-            dist += np.where(under, lo - offset, offset - hi)
-            np.copyto(dist, 1.0, where=(v == in_lo) | (v == in_hi))
-            log_s = np.log(dist, out=dist).sum(axis=0) / n
-            weights = w * h**power * np.exp(log_s) * density_scale
+    with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
+        for start in range(0, len(panels), per_block):
+            block = panels[start : start + per_block]
+            cols = slice(start, start + len(block))
+            x, anchor, lo, hi, from_lo, from_hi, weights, near, width = _panel_weights(values, block, density_scale)
+            per_chunk = max(1, _BLOCK // x.size)
             for c in range(0, len(points), per_chunk):
                 chunk = points[c : c + per_chunk]
                 shifted = anchor + chunk
@@ -216,17 +229,32 @@ def _fixed_rule(
                 vals[c : c + per_chunk, cols] = terms.sum(axis=-1)
                 size = np.abs(terms).sum(axis=-1)
                 pole = -chunk - anchor
-                rho = _ellipse_rho(np.minimum(np.abs(pole - lo) + np.abs(pole - hi), near) / width)[..., 0]
-                bound = np.maximum(_BOUND_C * rho ** (-2.0 * JACOBI_NODES), _ROUNDOFF)
+                bound = _bound(np.minimum(np.abs(pole - lo) + np.abs(pole - hi), near) / width)[..., 0]
                 ests[c : c + per_chunk, cols] = bound * size
     return vals.reshape(z.shape + (len(panels),)), ests.reshape(z.shape + (len(panels),))
 
 
-def _plan(values: tuple[float, ...], seg: SegmentDensity, z: complex) -> list[_Panel] | None:
+def _moment_rule(values: tuple[float, ...], panels: list[_Panel], order: int) -> tuple[np.ndarray, np.ndarray]:
+    """As :func:`_fixed_rule` for ``int t**order * density dt``, of shape
+    ``(len(panels),)``; ``t**order`` has no pole, so only the neighbours set ``rho``."""
+    per_block = max(1, _BLOCK // (len(values) * JACOBI_NODES))
+    vals, ests = np.empty((2, len(panels)))
+    with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
+        for start in range(0, len(panels), per_block):
+            block = panels[start : start + per_block]
+            cols = slice(start, start + len(block))
+            x, anchor, lo, hi, from_lo, from_hi, weights, near, width = _panel_weights(values, block, 1.0)
+            terms = weights * np.where(x <= 0.0, (anchor + lo) + from_lo, (anchor + hi) - from_hi) ** order
+            vals[cols] = terms.sum(axis=-1)
+            ests[cols] = _bound(near / width)[:, 0] * np.abs(terms).sum(axis=-1)
+    return vals, ests
+
+
+def _plan(values: tuple[float, ...], seg: SegmentDensity, z: complex | None = None) -> list[_Panel] | None:
     """Panels for a segment the whole-segment rule does not admit, chosen
     from its singularities alone, or ``None`` when more than
     ``_SPEC.max_subdivisions`` would be needed or the pole lies within
-    ``_TINY`` of the segment.
+    ``_TINY`` of the segment.  ``z=None`` plans for a kernel with no pole.
 
     The segment is cut at the pole projection ``x0 = -re(z)`` when that lies
     inside, and each part at its midpoint, so every half has one anchor:
@@ -239,15 +267,16 @@ def _plan(values: tuple[float, ...], seg: SegmentDensity, z: complex) -> list[_P
     checked again.  Offsets stay relative to the anchor (``x0 + z`` is
     exactly ``i*im(z)``).
     """
-    x0 = -z.real
-    nearest = min(max(x0, seg.lo), seg.hi)
-    if math.hypot(x0 - nearest, z.imag) < _TINY:
-        return None
+    if z is not None:
+        x0 = -z.real
+        nearest = min(max(x0, seg.lo), seg.hi)
+        if math.hypot(x0 - nearest, z.imag) < _TINY:
+            return None
     rho = (_BOUND_C / max(_PLAN_MARGIN * _SPEC.rel_tol, _ROUNDOFF)) ** (0.5 / JACOBI_NODES)
     # semi-major axis of that ellipse, in units of the panel's half-width
     s_need = 0.5 * (rho + 1.0 / rho)
     prev, after = _neighbours(values, seg)
-    if seg.lo < x0 < seg.hi:
+    if z is not None and seg.lo < x0 < seg.hi:
         left, right = 0.5 * (x0 - seg.lo), 0.5 * (seg.hi - x0)
         halves = ((seg.lo, left), (x0, -left), (x0, right), (seg.hi, -right))
     else:
@@ -255,7 +284,7 @@ def _plan(values: tuple[float, ...], seg: SegmentDensity, z: complex) -> list[_P
         halves = ((seg.lo, half), (seg.hi, -half))
     panels: list[_Panel] = []
     for anchor, far in halves:
-        pole = -z - anchor
+        poles = () if z is None else (-z - anchor,)
         ends = (seg.lo - anchor, seg.hi - anchor)
         neighbours = (prev - anchor, after - anchor)
         work = [(0.0, far)]
@@ -266,7 +295,7 @@ def _plan(values: tuple[float, ...], seg: SegmentDensity, z: complex) -> list[_P
             lo, hi = min(a, b), max(a, b)
             m_lo = seg.m_lo if lo == ends[0] else 0
             m_hi = seg.m_hi if hi == ends[1] else 0
-            points = (pole, neighbours[0] if m_lo else ends[0], neighbours[1] if m_hi else ends[1])
+            points = (*poles, neighbours[0] if m_lo else ends[0], neighbours[1] if m_hi else ends[1])
             width = hi - lo
             if min(abs(p - lo) + abs(p - hi) for p in points) >= s_need * width:
                 panels.append(_Panel(seg, anchor, lo, hi, m_lo, m_hi))
@@ -274,6 +303,30 @@ def _plan(values: tuple[float, ...], seg: SegmentDensity, z: complex) -> list[_P
                 cut = a + (b - a) * _GRADING
                 work += [(cut, b), (a, cut)]
     return panels
+
+
+def _admitted(val, est: float, abs_tol: float) -> bool:
+    # an overflowed value or estimate can never certify itself
+    return est <= max(abs_tol, _SPEC.rel_tol * abs(val)) < math.inf
+
+
+def _refine(values, segs, vals: list, ests: list, abs_tol: float, z, rule, *args) -> tuple[list[int], list[int]]:
+    """Admit each whole-segment value in ``vals``/``ests`` or replace it by
+    the sums of ``rule(values, panels, *args)`` over :func:`_plan`'s panels;
+    returns the panel counts and the indices of the segments that fail."""
+    counts = [1] * len(segs)
+    failed = []
+    for i, seg in enumerate(segs):
+        if _admitted(vals[i], ests[i], abs_tol):
+            continue
+        plan = _plan(values, seg, z)
+        if plan is not None:
+            panel_vals, panel_ests = rule(values, plan, *args)
+            with np.errstate(invalid="ignore", over="ignore"):
+                vals[i], ests[i], counts[i] = panel_vals.sum().item(), float(panel_ests.sum()), len(plan)
+        if plan is None or not _admitted(vals[i], ests[i], abs_tol):
+            failed.append(seg.index)
+    return counts, failed
 
 
 def _remainder_raw(
@@ -298,25 +351,9 @@ def _remainder_raw(
     segs = _segments_raw(scaled)
     first = [_Panel(seg, 0.0, seg.lo, seg.hi, seg.m_lo, seg.m_hi) for seg in segs]
     whole_vals, whole_ests = _fixed_rule(scaled, first, np.array(zs, dtype=complex), density_scale)
-
-    def admitted(val: complex, est: float) -> bool:
-        # an overflowed value or estimate can never certify itself
-        return est <= max(abs_tol, _SPEC.rel_tol * abs(val)) < math.inf
-
     results, failures = [], []
     for point, zk, vals, ests in zip(points, zs, whole_vals.tolist(), whole_ests.tolist()):
-        counts = [1] * len(segs)
-        failed = []
-        for i, seg in enumerate(segs):
-            if admitted(vals[i], ests[i]):
-                continue
-            plan = _plan(scaled, seg, zk)
-            if plan is not None:
-                panel_vals, panel_ests = _fixed_rule(scaled, plan, zk, density_scale)
-                with np.errstate(invalid="ignore", over="ignore"):
-                    vals[i], ests[i], counts[i] = complex(panel_vals.sum()), float(panel_ests.sum()), len(plan)
-            if plan is None or not admitted(vals[i], ests[i]):
-                failed.append(seg.index)
+        counts, failed = _refine(scaled, segs, vals, ests, abs_tol, zk, _fixed_rule, zk, density_scale)
         per = tuple(
             (seg.index, scale * (seg.weight * complex(val)), scale * (seg.weight * est))
             for seg, val, est in zip(segs, vals, ests)
@@ -408,3 +445,33 @@ def am_gm_gap(a: Sequence) -> float:
         QuadratureFailure: as :func:`remainder`.
     """
     return remainder(a, 0.0).value.real
+
+
+def density_moment(a: Sequence, order: int) -> float:
+    """Weighted moment ``sum_l w_l * int_{a_l}^{a_{l+1}} t**order * density dt``.
+
+    The zeroth moment is the total mass of the remainder measure and equals
+    half the population variance of the entries.
+
+    Raises:
+        QuadratureFailure: if a segment misses ``_SPEC`` or the moment
+            overflows; the partial sum (``inf`` on overflow) rides on it.
+    """
+    if order < 0:
+        raise ValueError(f"moment order must be >= 0, got {order}")
+    # as in _remainder_raw; the moment is homogeneous of degree order + 2
+    e = math.frexp(a.values[-1])[1] - 1
+    scaled, shift = tuple(math.ldexp(v, -e) for v in a.values), e * (order + 2)
+    # past 2**1000 the target admits any estimate the scaled entries give
+    abs_tol = max(math.ldexp(_SPEC.abs_tol, min(-shift, 1000)), math.ulp(0.0))
+    segs = _segments_raw(scaled)
+    first = [_Panel(seg, 0.0, seg.lo, seg.hi, seg.m_lo, seg.m_hi) for seg in segs]
+    vals, ests = (r.tolist() for r in _moment_rule(scaled, first, order))
+    _, failed = _refine(scaled, segs, vals, ests, abs_tol, None, _moment_rule, order)
+    try:
+        total = math.ldexp(sum((seg.weight * val for seg, val in zip(segs, vals)), 0.0), shift)
+    except OverflowError:
+        raise QuadratureFailure(f"moment of order {order} overflows the double range", result=math.inf) from None
+    if failed:
+        raise QuadratureFailure(f"moment quadrature did not converge on segment(s) {failed}", result=total)
+    return total

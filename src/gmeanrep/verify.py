@@ -36,8 +36,8 @@ from .quadrature import QuadratureSpec, integrate, kronrod_panel
 
 _EPS = float(np.finfo(float).eps)
 
-# the adaptive engine's default, which density_moment integrates to; the quad
-# suites test the engine at it, and mass-identity's bound derives from it
+# the adaptive engine's default, at which the quad suites test the engine;
+# mass-identity's bound derives from representation._SPEC, the same numbers
 _QUAD = QuadratureSpec()
 # representation-equivalence points per sequence, and their least distance
 # to the cut
@@ -307,10 +307,10 @@ def _suite_boundary_scaling(rng, cases, ctx, res: SuiteResult):
 def _suite_mass_identity(rng, cases, ctx, res: SuiteResult):
     for _ in range(cases):
         a = random_sequence(rng)
-        m0 = boundary.density_moment(a, 0)
+        m0 = representation.density_moment(a, 0)
         am = arithmetic_mean(a)
         var_half = (math.fsum(v * v for v in a.values) / a.n - am * am) / 2.0
-        tol = 10.0 * max(_QUAD.abs_tol, _QUAD.rel_tol * abs(m0)) + 1e-13
+        tol = 10.0 * max(representation._SPEC.abs_tol, representation._SPEC.rel_tol * abs(m0)) + 1e-13
         err = abs(m0 - var_half)
         res.record(err)
         if err > tol:
@@ -485,7 +485,7 @@ def _suite_large_z_decay(rng, cases, ctx, res: SuiteResult):
     for _ in range(cases):
         a = random_sequence(rng)
         am = arithmetic_mean(a)
-        m0 = boundary.density_moment(a, 0)
+        m0 = representation.density_moment(a, 0)
         for big in (1e3, 1e4, 1e5):
             dev = abs(gmean_excess(a, complex(big, 0.0)) - am)
             bound = m0 / big * 1.01 + 64.0 * _EPS * (big + am)

@@ -11,14 +11,13 @@ from math import comb
 
 import numpy as np
 
-from gmeanrep.boundary import density_moment
 from gmeanrep.means import (
     Sequence,
     arithmetic_mean,
     gmean_excess_shifted,
     principal_gmean,
 )
-from gmeanrep.representation import remainder
+from gmeanrep.representation import density_moment, remainder
 from gmeanrep.verify import (
     random_sequence,
     representation_z_grid,

@@ -1,6 +1,7 @@
 """Branch-cut boundary data: segments, the cut-limit formula, moments."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,11 +10,11 @@ from gmeanrep.boundary import (
     DomainError,
     boundary_imag_limit,
     boundary_imag_numeric,
-    density_moment,
     density_samples,
     segments,
 )
 from gmeanrep.means import Sequence, arithmetic_mean
+from gmeanrep.representation import density_moment
 
 from conftest import seeded_suite
 
@@ -151,14 +152,37 @@ class TestDensityMoment:
             density_moment(Sequence((1, 2)), -1)
 
     def test_non_convergence_carries_partial_sum(self, monkeypatch):
-        from gmeanrep import boundary, quadrature
+        from gmeanrep import representation
         from gmeanrep.quadrature import QuadratureFailure, QuadratureSpec
 
         spec = QuadratureSpec(abs_tol=1e-30, rel_tol=1e-30, max_subdivisions=2)
-        monkeypatch.setattr(boundary, "integrate", lambda f, lo, hi: quadrature.integrate(f, lo, hi, spec))
+        monkeypatch.setattr(representation, "_SPEC", spec)
         with pytest.raises(QuadratureFailure) as exc:
             density_moment(Sequence((1, 2)), 0)
         assert abs(exc.value.result - 0.125) <= 1e-6
+
+    @pytest.mark.parametrize(
+        "entries, expected",
+        [
+            ((1e-300, 2e-300), 0.0),
+            ((1e-160, 3e-160), 5e-321),
+            ((1e153, 1e154), (1e154 - 1e153) ** 2 / 8),
+            ((1.0, 1e150), (1e150 - 1.0) ** 2 / 8),
+            ((1e154, 1e155), math.inf),
+        ],
+    )
+    def test_entries_at_the_ends_of_the_double_range(self, entries, expected):
+        # the mass (hi - lo)**2 / 8 of two entries: it underflows to 0, or
+        # to a subnormal, or it overflows and raises, never with a warning
+        from gmeanrep.quadrature import QuadratureFailure
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if expected == math.inf:
+                with pytest.raises(QuadratureFailure):
+                    density_moment(Sequence(entries), 0)
+            else:
+                assert density_moment(Sequence(entries), 0) == pytest.approx(expected, rel=1e-14, abs=0.0)
 
 
 class TestDensitySamples:

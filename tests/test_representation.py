@@ -22,10 +22,11 @@ from gmeanrep.means import (
     gmean_excess_shifted,
     principal_gmean,
 )
-from gmeanrep.quadrature import QuadratureFailure, QuadratureSpec, integrate_near_pole
+from gmeanrep.quadrature import QuadratureFailure, QuadratureSpec, integrate, integrate_near_pole
 from gmeanrep.representation import (
     RemainderValue,
     am_gm_gap,
+    density_moment,
     gmean_via_representation,
     remainder,
     shifted_excess_via_representation,
@@ -267,6 +268,43 @@ class TestFixedRule:
                     assert abs(value - ref.value) <= est, (a.values, z, seg.index)
         assert admitted > 100
 
+    def test_moment_bound_covers_admitted_panels(self):
+        # every whole-segment moment panel the a-priori bound admits, and
+        # every panel planned for the others, is within its estimate of a
+        # tight adaptive reference, integrated in offsets from an end so
+        # that panels 1e-12 wide keep their digits
+        tight = QuadratureSpec(abs_tol=1e-300, rel_tol=1e-13)
+        rng = np.random.default_rng(53)
+        corpus = [random_sequence(rng) for _ in range(12)]
+        corpus += [Sequence((1, 1 + 1e-12, 2)), Sequence((1, 2, 2, 2, 3)), Sequence((0.5, 1, 1 + 1e-6, 3, 3 + 1e-9, 4))]
+        admitted = planned = 0
+        for a in corpus:
+            for order in (0, 1):
+                for seg in segments(a):
+                    panels = [representation._Panel(seg, 0.0, seg.lo, seg.hi, seg.m_lo, seg.m_hi)]
+                    (value,), (est,) = representation._moment_rule(a.values, panels, order)
+                    if representation._admitted(value, est, representation._SPEC.abs_tol):
+                        admitted += 1
+                    else:
+                        panels = representation._plan(a.values, seg)
+                        planned += len(panels)
+                    values, estimates = representation._moment_rule(a.values, panels, order)
+                    for p, value, est in zip(panels, values, estimates):
+                        c, lo, hi = (seg.lo, 0.0, seg.hi - seg.lo) if p.anchor == 0.0 else (p.anchor, p.lo, p.hi)
+                        offsets = np.array(a.values)[:, None] - c
+                        with np.errstate(divide="ignore"):
+                            ref = integrate(
+                                lambda u, c=c, offsets=offsets, order=order: (
+                                    np.exp(np.log(np.abs(offsets - u)).sum(axis=0) / a.n) * (c + u) ** order
+                                ),
+                                lo,
+                                hi,
+                                tight,
+                            )
+                        assert ref.converged
+                        assert abs(value - ref.value) <= est, (a.values, order, p)
+        assert admitted > 60 and planned > 40
+
 
 class TestGmeanViaRepresentation:
     def test_constant_sequence_exact(self):
@@ -385,6 +423,21 @@ class TestStructuralProperties:
     def test_large_z_decay_bound(self):
         assert seeded_suite("large-z-decay", 48, 20).passed
 
+    @pytest.mark.parametrize(
+        "suite, factor, contract",
+        [
+            ("mass-identity", 1.0 + 1e-6, "density mass == Var(a)/2 within 10x quad tolerance"),
+            ("large-z-decay", 1.02, "R*(A - excess(R)) at R=1e5 matches mass within 1%"),
+        ],
+    )
+    def test_moment_suites_can_fail(self, monkeypatch, suite, factor, contract):
+        assert seeded_suite(suite, 48, 20).passed
+        exact = representation.density_moment
+        monkeypatch.setattr(representation, "density_moment", lambda a, order: factor * exact(a, order))
+        res = seeded_suite(suite, 48, 20)
+        assert not res.passed
+        assert {f["contract"] for f in res.failures} == {contract}
+
     def test_near_cut_accuracy(self):
         # pole projection inside a segment, tiny imaginary offset
         a = Sequence((1, 3))
@@ -440,3 +493,18 @@ def test_remainder_never_calls_the_adaptive_engine(monkeypatch):
     a, z = Sequence((1, 2, 3)), complex(-1.5, 1e-300)
     rem = remainder(a, z)
     assert abs(rem.value - (arithmetic_mean(a) + z - principal_gmean(a, z))) <= rem.total_error_estimate
+
+
+def test_density_moment_never_calls_the_adaptive_engine(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the adaptive engine was called")
+
+    monkeypatch.setattr(quadrature, "_adaptive", refuse)
+    rng = np.random.default_rng(54)
+    corpus = [random_sequence(rng) for _ in range(20)]
+    corpus += [Sequence(10.0 ** rng.uniform(-1.0, 1.0, 200)), Sequence((1, 2, 2, 2, 3)), Sequence((1, 1 + 1e-12, 2))]
+    for a in corpus:
+        assert density_moment(a, 1) >= 0.0
+        am = arithmetic_mean(a)
+        var_half = (math.fsum(v * v for v in a.values) / a.n - am * am) / 2.0
+        assert abs(density_moment(a, 0) - var_half) <= 1e-10 * max(1.0, var_half), a.values
