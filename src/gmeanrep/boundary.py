@@ -29,19 +29,18 @@ class DomainError(ValueError):
 
 
 def _log_abs_product(values, t):
-    """``(1/n) * sum_k log|v_k - t|`` vectorized over ``t``; -inf at zeros."""
-    vals = np.asarray(values, dtype=float)
+    """``(1/n) * sum_k log|t - v_k|`` over a 1-D ``t``; -inf at zeros.  Each
+    point's logs are summed along the contiguous last axis, so its value does
+    not depend on the other points."""
     t = np.asarray(t, dtype=float)
     with np.errstate(divide="ignore"):
-        return np.log(np.abs(vals[:, None] - t[None, :])).sum(axis=0) / len(values)
+        return np.log(np.abs(t[:, None] - np.asarray(values, dtype=float))).sum(axis=-1) / len(values)
 
 
 def _density_fn(values) -> Callable[[np.ndarray], np.ndarray]:
     def density(t):
-        t = np.asarray(t, dtype=float)
-        scalar = t.ndim == 0
         out = np.exp(_log_abs_product(values, np.atleast_1d(t)))
-        return float(out[0]) if scalar else out
+        return out if np.ndim(t) else float(out[0])
 
     return density
 

@@ -282,9 +282,10 @@ def cmd_sweep(args) -> int:
     zs = [z for z in grid if cut_distance(a, z) >= 0.05]
     points = np.array(zs, dtype=complex)
     rems = remainder(a, points)
+    directs = principal_gmean(a, points).tolist()
     rows = [
-        [ffmt(z.real), ffmt(z.imag), ffmt(abs(principal_gmean(a, z) - via)), ffmt(rem.total_error_estimate)]
-        for z, via, rem in zip(zs, _reconstruct(a, points, rems).tolist(), rems)
+        [ffmt(z.real), ffmt(z.imag), ffmt(abs(direct - via)), ffmt(rem.total_error_estimate)]
+        for z, direct, via, rem in zip(zs, directs, _reconstruct(a, points, rems).tolist(), rems)
     ]
     return _emit(_csv_text(["re_z", "im_z", "abs_error", "quad_error"], rows), args.out)
 

@@ -13,7 +13,6 @@ live in :mod:`gmeanrep.representation`.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Iterable
@@ -70,8 +69,11 @@ class Sequence:
 
 
 def _check_point(z) -> complex | np.ndarray:
-    """Coerce to complex scalar/array and reject non-finite components."""
+    """Coerce to a complex scalar or 1-D array; reject other shapes and
+    non-finite components."""
     if isinstance(z, np.ndarray) and z.ndim > 0:
+        if z.ndim != 1:
+            raise ValueError(f"expected a scalar or a 1-D array of points, got shape {z.shape}")
         w = np.asarray(z, dtype=complex)
         if not np.isfinite(w).all():
             raise ValueError("evaluation points must have finite components")
@@ -95,17 +97,14 @@ def _check_cut(z, cut_end: float, label: str) -> None:
 def _gmean_raw(values: tuple[float, ...], z):
     """exp of the average of principal logs of ``v + z`` over the tuple.
 
-    Scalar in, scalar out; 1-D array in, 1-D array out.  No cut checking;
-    callers validate first.
+    Scalar in, scalar out; 1-D array in, 1-D array out.  A scalar is the
+    length-one array, and each point's logs are summed along the contiguous
+    last axis, so a point's value is bit for bit the same in any batch.  No
+    cut checking; callers validate first.
     """
-    n = len(values)
-    if isinstance(z, np.ndarray):
-        shifts = np.asarray(values, dtype=float)[:, None] + z[None, :]
-        return np.exp(np.log(shifts).sum(axis=0) / n)
-    s = 0.0 + 0.0j
-    for v in values:
-        s += cmath.log(v + z)
-    return cmath.exp(s / n)
+    points = z if isinstance(z, np.ndarray) else np.array([z])
+    g = np.exp(np.add.reduce(np.log(points[:, None] + values), axis=-1) / len(values))
+    return g if isinstance(z, np.ndarray) else complex(g[0])
 
 
 def arithmetic_mean(a: Sequence) -> float:
@@ -121,7 +120,8 @@ def geometric_mean(a: Sequence) -> float:
 def principal_gmean(a: Sequence, z):
     """Principal branch of ``[prod_k (a_k + z)]**(1/n)``.
 
-    ``z`` may be a complex scalar or a 1-D ndarray; the return type matches.
+    ``z`` may be a complex scalar or a 1-D ndarray; the return type matches,
+    and each point's value is bit for bit the same in any batch.
     Valid for ``z`` off the cut ``(-inf, -min(a)]``.  For real ``z > -min(a)``
     the result is real positive (the factor logs have exactly zero imaginary
     part) and equals the geometric mean of the shifted entries.

@@ -4,7 +4,7 @@ Two rules live here.  :func:`gauss_jacobi` builds a fixed N-node Gauss–Jacobi
 rule by Golub–Welsch; :func:`segment_rule` caches the rule whose weight
 ``(1-x)**(m_hi/n) * (1+x)**(m_lo/n)`` matches a segment density's endpoint
 behaviour exactly (Gauss–Legendre on a panel that touches no entry), and
-:func:`bernstein_rho` gives the ellipse parameter of the a-priori bound on
+:func:`_ellipse_rho` gives the ellipse parameter of the a-priori bound on
 that rule's error.  :mod:`gmeanrep.representation` computes every remainder
 and moment with them alone.  The keyhole contour, the ``quad-*`` suites and
 the tests' tight references use the adaptive engine below.
@@ -306,20 +306,11 @@ def _jacobi_rule(m_lo: int, m_hi: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def bernstein_rho(lo, hi, t):
-    """Parameter ``rho`` of the Bernstein ellipse with foci ``lo`` and ``hi``
-    through the point ``t`` (real or complex): ``rho = s + sqrt(s**2 - 1)``
-    with semi-major axis ``s = (|t - lo| + |t - hi|) / (hi - lo)``.  An
-    N-point Gauss rule on [lo, hi] converges like ``rho**(-2N)`` for an
-    integrand analytic inside that ellipse.  Vectorized; a point too far to
-    represent gives ``inf``.
-    """
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        return _ellipse_rho((np.abs(t - lo) + np.abs(t - hi)) / (np.asarray(hi) - lo))
-
-
 def _ellipse_rho(s):
-    """:func:`bernstein_rho` from the semi-major axis ``s``, for a caller that
+    """Parameter ``rho = s + sqrt(s**2 - 1)`` of the Bernstein ellipse on
+    [lo, hi] through ``t``, from its semi-major axis ``s = (|t - lo| + |t -
+    hi|) / (hi - lo)``: an N-point Gauss rule on [lo, hi] converges like
+    ``rho**(-2N)`` for an integrand analytic inside it.  For a caller that
     already ignores overflow and invalid operations.  Non-decreasing in
     ``s``, so the smallest ``s`` of several points gives their smallest
     ``rho`` exactly."""

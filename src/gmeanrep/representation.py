@@ -27,10 +27,10 @@ entries from 1e-300 to 1e308 neither under- nor overflow.
 ``remainder`` and ``gmean_via_representation`` take a complex scalar or a
 1-D array of points.  The rule weights do not depend on ``z``, so an array
 call builds them once per block of segments and forms only ``1/(t_j + z)``
-and the pole's ``rho`` per point (:func:`_fixed_rule`); admission, the plan
-and the planned panels stay per (segment, ``z``).  The scalar call is the
-length-one case of the same code, and a point's result is bit for bit the
-same in any batch.
+and the pole's ``rho`` per point; the moment is the same loop at the single
+point ``c = 0`` (:func:`_rule`).  Admission, the plan and the planned panels
+stay per (segment, ``z``).  The scalar call is the length-one case of the
+same code, and a point's result is bit for bit the same in any batch.
 
 ``z = 0`` needs no special handling: the integration variable stays >= min(a)
 > 0, so ``1/(t+z)`` is bounded for every ``re(z) > -min(a)``.  Within 1e-6 of
@@ -195,26 +195,29 @@ def _bound(s):
     return np.maximum(_BOUND_C * _ellipse_rho(s) ** (-2.0 * JACOBI_NODES), _ROUNDOFF)
 
 
-def _fixed_rule(
-    values: tuple[float, ...], panels: list[_Panel], z, density_scale: float
+def _rule(
+    values: tuple[float, ...], panels: list[_Panel], points: np.ndarray, order: int, density_scale: float = 1.0
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss–Jacobi values ``sum_j W_j / (t_j + z)`` of the panel integrals
-    ``int density/(t+z) dt`` and their estimates ``C * rho**(-2N) * sum_j
-    |W_j / (t_j + z)|`` for the smallest ellipse through the pole ``-z`` and
-    the neighbours, of shape ``z.shape + (len(panels),)`` for a complex
-    scalar or array ``z``.
+    """Gauss–Jacobi values ``sum_j W_j * k(t_j)`` of the panel integrals
+    ``int k * density dt`` for the kernel ``k(t) = (t + c)**order``, and their
+    estimates ``C * rho**(-2N) * sum_j |W_j * k(t_j)|``, one row per point
+    ``c`` of the 1-D array ``points`` and one column per panel.
+
+    ``order = -1`` is the Stieltjes kernel of ``R`` at ``c = z``: its pole
+    ``-z`` and the neighbours set ``rho``, the smallest ellipse through them.
+    ``order >= 0`` is the moment kernel, taken at the single point ``c = 0``:
+    it has no pole, so the neighbours alone set ``rho``.
 
     The weights of :func:`_panel_weights` are built once per block of panels,
-    and only ``1/(t_j + z)`` and the pole's ``rho`` are formed per point, on
-    ``z`` chunks.  Blocks and chunks keep the largest temporary at about
+    and only the kernel and the pole's ``rho`` are formed per point, on chunks
+    of points.  Blocks and chunks keep the largest temporary at about
     ``_BLOCK`` elements, and every sum runs along the nodes, the contiguous
     last axis, so a point's values do not depend on the other points or on
     the chunking.
     """
-    z = np.asarray(z, dtype=complex)
-    points = z.reshape(-1, 1, 1)
     per_block = max(1, _BLOCK // (len(values) * JACOBI_NODES))
-    vals = np.empty((len(points), len(panels)), dtype=complex)
+    column = points.reshape(-1, 1, 1)
+    vals = np.empty((len(points), len(panels)), dtype=points.dtype)
     ests = np.empty((len(points), len(panels)))
     with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
         for start in range(0, len(panels), per_block):
@@ -223,30 +226,16 @@ def _fixed_rule(
             x, anchor, lo, hi, from_lo, from_hi, weights, near, width = _panel_weights(values, block, density_scale)
             per_chunk = max(1, _BLOCK // x.size)
             for c in range(0, len(points), per_chunk):
-                chunk = points[c : c + per_chunk]
+                chunk = column[c : c + per_chunk]
                 shifted = anchor + chunk
-                terms = weights / np.where(x <= 0.0, (shifted + lo) + from_lo, (shifted + hi) - from_hi)
+                t = np.where(x <= 0.0, (shifted + lo) + from_lo, (shifted + hi) - from_hi)
+                terms = weights / t if order < 0 else weights * t**order
                 vals[c : c + per_chunk, cols] = terms.sum(axis=-1)
-                size = np.abs(terms).sum(axis=-1)
-                pole = -chunk - anchor
-                bound = _bound(np.minimum(np.abs(pole - lo) + np.abs(pole - hi), near) / width)[..., 0]
-                ests[c : c + per_chunk, cols] = bound * size
-    return vals.reshape(z.shape + (len(panels),)), ests.reshape(z.shape + (len(panels),))
-
-
-def _moment_rule(values: tuple[float, ...], panels: list[_Panel], order: int) -> tuple[np.ndarray, np.ndarray]:
-    """As :func:`_fixed_rule` for ``int t**order * density dt``, of shape
-    ``(len(panels),)``; ``t**order`` has no pole, so only the neighbours set ``rho``."""
-    per_block = max(1, _BLOCK // (len(values) * JACOBI_NODES))
-    vals, ests = np.empty((2, len(panels)))
-    with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
-        for start in range(0, len(panels), per_block):
-            block = panels[start : start + per_block]
-            cols = slice(start, start + len(block))
-            x, anchor, lo, hi, from_lo, from_hi, weights, near, width = _panel_weights(values, block, 1.0)
-            terms = weights * np.where(x <= 0.0, (anchor + lo) + from_lo, (anchor + hi) - from_hi) ** order
-            vals[cols] = terms.sum(axis=-1)
-            ests[cols] = _bound(near / width)[:, 0] * np.abs(terms).sum(axis=-1)
+                s = near
+                if order < 0:
+                    pole = -chunk - anchor
+                    s = np.minimum(np.abs(pole - lo) + np.abs(pole - hi), near)
+                ests[c : c + per_chunk, cols] = _bound(s / width)[..., 0] * np.abs(terms).sum(axis=-1)
     return vals, ests
 
 
@@ -310,23 +299,38 @@ def _admitted(val, est: float, abs_tol: float) -> bool:
     return est <= max(abs_tol, _SPEC.rel_tol * abs(val)) < math.inf
 
 
-def _refine(values, segs, vals: list, ests: list, abs_tol: float, z, rule, *args) -> tuple[list[int], list[int]]:
-    """Admit each whole-segment value in ``vals``/``ests`` or replace it by
-    the sums of ``rule(values, panels, *args)`` over :func:`_plan`'s panels;
-    returns the panel counts and the indices of the segments that fail."""
-    counts = [1] * len(segs)
-    failed = []
-    for i, seg in enumerate(segs):
-        if _admitted(vals[i], ests[i], abs_tol):
-            continue
-        plan = _plan(values, seg, z)
-        if plan is not None:
-            panel_vals, panel_ests = rule(values, plan, *args)
-            with np.errstate(invalid="ignore", over="ignore"):
-                vals[i], ests[i], counts[i] = panel_vals.sum().item(), float(panel_ests.sum()), len(plan)
-        if plan is None or not _admitted(vals[i], ests[i], abs_tol):
-            failed.append(seg.index)
-    return counts, failed
+def _segment_integrals(values, segs, points: np.ndarray, order: int, abs_tol: float, density_scale: float = 1.0):
+    """Per point ``c`` of ``points``, :func:`_rule`'s integrals over each
+    segment of ``segs`` as ``(vals, ests, counts, failed)``: the
+    whole-segment rule, taken at every point in one call, where it is
+    admitted, else the sums over :func:`_plan`'s panels; ``counts`` holds the
+    panel counts and ``failed`` the indices of the segments that fail."""
+    whole = [_Panel(seg, 0.0, seg.lo, seg.hi, seg.m_lo, seg.m_hi) for seg in segs]
+    whole_vals, whole_ests = _rule(values, whole, points, order, density_scale)
+    for c, vals, ests in zip(points.tolist(), whole_vals.tolist(), whole_ests.tolist()):
+        counts, failed = [1] * len(segs), []
+        for i, seg in enumerate(segs):
+            if _admitted(vals[i], ests[i], abs_tol):
+                continue
+            plan = _plan(values, seg, c if order < 0 else None)
+            if plan is not None:
+                panel_vals, panel_ests = _rule(values, plan, np.array([c]), order, density_scale)
+                with np.errstate(invalid="ignore", over="ignore"):
+                    vals[i], ests[i], counts[i] = panel_vals.sum().item(), float(panel_ests.sum()), len(plan)
+            if plan is None or not _admitted(vals[i], ests[i], abs_tol):
+                failed.append(seg.index)
+        yield vals, ests, counts, failed
+
+
+def _scaled(values: tuple[float, ...], degree: int) -> tuple[tuple[float, ...], int, float]:
+    """The entries scaled by ``2**-e`` (exact) to ``max`` in [1, 2), so that
+    ``h**(1+p+q)`` neither under- nor overflows, ``e``, and ``_SPEC.abs_tol``
+    scaled for a quantity homogeneous of degree ``degree``."""
+    e = math.frexp(values[-1])[1] - 1
+    # past 2**1000 the target admits any estimate the scaled entries give;
+    # the clamp keeps it finite down to subnormal entries
+    abs_tol = max(math.ldexp(_SPEC.abs_tol, min(-e * degree, 1000)), math.ulp(0.0))
+    return tuple(math.ldexp(v, -e) for v in values), e, abs_tol
 
 
 def _remainder_raw(
@@ -341,19 +345,14 @@ def _remainder_raw(
     if values[0] == values[-1]:
         results = [RemainderValue(0j, (), 0.0, ())] * len(points)
         return results if isinstance(z, np.ndarray) else results[0]
-    # R is homogeneous of degree 1, R_a(z) = s * R_{a/s}(z/s): work on entries
-    # scaled by a power of two (exact), max in [1, 2), so that h**(1+p+q)
-    # neither under- nor overflows
-    scale = math.ldexp(1.0, math.frexp(values[-1])[1] - 1)
-    scaled = tuple(v / scale for v in values)
+    # R is homogeneous of degree 1: R_a(z) = s * R_{a/s}(z/s)
+    scaled, e, abs_tol = _scaled(values, 1)
+    scale = math.ldexp(1.0, e)
     zs = [p / scale for p in points]
-    abs_tol = max(_SPEC.abs_tol / scale, math.ulp(0.0))
     segs = _segments_raw(scaled)
-    first = [_Panel(seg, 0.0, seg.lo, seg.hi, seg.m_lo, seg.m_hi) for seg in segs]
-    whole_vals, whole_ests = _fixed_rule(scaled, first, np.array(zs, dtype=complex), density_scale)
+    integrals = _segment_integrals(scaled, segs, np.array(zs, dtype=complex), -1, abs_tol, density_scale)
     results, failures = [], []
-    for point, zk, vals, ests in zip(points, zs, whole_vals.tolist(), whole_ests.tolist()):
-        counts, failed = _refine(scaled, segs, vals, ests, abs_tol, zk, _fixed_rule, zk, density_scale)
+    for point, zk, (vals, ests, counts, failed) in zip(points, zs, integrals):
         per = tuple(
             (seg.index, scale * (seg.weight * complex(val)), scale * (seg.weight * est))
             for seg, val, est in zip(segs, vals, ests)
@@ -397,8 +396,6 @@ def remainder(a: Sequence, z, density_scale: float = 1.0) -> RemainderValue | li
         ValueError: for a non-finite point or an array that is not 1-D.
     """
     z = _check_point(z)
-    if isinstance(z, np.ndarray) and z.ndim != 1:
-        raise ValueError(f"remainder takes a scalar or a 1-D array of points, got shape {z.shape}")
     _check_cut(z, -a.values[0], "remainder")
     return _remainder_raw(a.values, z, density_scale)
 
@@ -459,15 +456,11 @@ def density_moment(a: Sequence, order: int) -> float:
     """
     if order < 0:
         raise ValueError(f"moment order must be >= 0, got {order}")
-    # as in _remainder_raw; the moment is homogeneous of degree order + 2
-    e = math.frexp(a.values[-1])[1] - 1
-    scaled, shift = tuple(math.ldexp(v, -e) for v in a.values), e * (order + 2)
-    # past 2**1000 the target admits any estimate the scaled entries give
-    abs_tol = max(math.ldexp(_SPEC.abs_tol, min(-shift, 1000)), math.ulp(0.0))
+    # the moment is homogeneous of degree order + 2
+    scaled, e, abs_tol = _scaled(a.values, order + 2)
+    shift = e * (order + 2)
     segs = _segments_raw(scaled)
-    first = [_Panel(seg, 0.0, seg.lo, seg.hi, seg.m_lo, seg.m_hi) for seg in segs]
-    vals, ests = (r.tolist() for r in _moment_rule(scaled, first, order))
-    _, failed = _refine(scaled, segs, vals, ests, abs_tol, None, _moment_rule, order)
+    ((vals, _, _, failed),) = _segment_integrals(scaled, segs, np.zeros(1), order, abs_tol)
     try:
         total = math.ldexp(sum((seg.weight * val for seg, val in zip(segs, vals)), 0.0), shift)
     except OverflowError:

@@ -415,10 +415,9 @@ def _suite_representation_equivalence(rng, cases, ctx, res: SuiteResult):
     scale = 1.0 + ctx["perturb_density"]
     for _ in range(cases):
         a = ctx["fixed"] or random_sequence(rng)
-        zs = representation_z_grid(a)
-        vias = representation.gmean_via_representation(a, np.array(zs), density_scale=scale)
-        for z, via in zip(zs, vias.tolist()):
-            direct = principal_gmean(a, z)
+        zs = np.array(representation_z_grid(a))
+        vias = representation.gmean_via_representation(a, zs, density_scale=scale)
+        for z, via, direct in zip(zs.tolist(), vias.tolist(), principal_gmean(a, zs).tolist()):
             err = abs(via - direct)
             res.record(err)
             if err > max(1e-8, 1e-8 * abs(direct)):

@@ -15,6 +15,7 @@ from gmeanrep.boundary import (
 )
 from gmeanrep.means import Sequence, arithmetic_mean
 from gmeanrep.representation import density_moment
+from gmeanrep.verify import random_sequence
 
 from conftest import seeded_suite
 
@@ -64,6 +65,20 @@ class TestSegments:
         (seg,) = segments(Sequence((1, 2)))
         t = np.linspace(1, 2, 21)
         np.testing.assert_allclose(seg.density(t), np.sqrt((t - 1) * (2 - t)), atol=1e-15)
+
+
+class TestBatch:
+    def test_density_is_the_same_in_any_batch(self):
+        # a point of an array call is bit for bit its scalar call, in any order
+        rng = np.random.default_rng(67)
+        corpus = [random_sequence(rng) for _ in range(20)]
+        corpus += [Sequence(10.0 ** rng.uniform(-2.0, 2.0, n)) for n in (9, 50, 150, 400)]
+        for a in corpus:
+            for seg in segments(a)[:3]:
+                ts = np.concatenate((np.linspace(seg.lo, seg.hi, 9), rng.uniform(seg.lo, seg.hi, 8)))
+                scalar = [repr(seg.density(t)) for t in ts.tolist()]
+                assert [repr(d) for d in seg.density(ts).tolist()] == scalar, a.values
+                assert [repr(d) for d in seg.density(ts[::-1]).tolist()] == scalar[::-1], a.values
 
 
 class TestBoundaryLimit:

@@ -93,7 +93,7 @@ def test_bound_covers_planned_panels():
         for z in zs:
             for seg in segments(a):
                 plan = representation._plan(a.values, seg, z)
-                values, estimates = representation._fixed_rule(a.values, plan, z, 1.0)
+                (values,), (estimates,) = representation._rule(a.values, plan, np.array([z]), -1)
                 for panel, value, est in zip(plan, values, estimates):
                     offsets = [mp.mpf(v) - panel.anchor for v in a.values]
                     shifted = mp.mpc(z) + panel.anchor

@@ -1,5 +1,6 @@
 """Direct-evaluation layer: means, principal branch, excess functions."""
 
+import cmath
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gmeanrep import verify
+from gmeanrep import contour, representation, verify
 from gmeanrep.means import (
     CutViolation,
     Sequence,
@@ -130,6 +131,22 @@ class TestPrincipalGmean:
         with pytest.raises(CutViolation):
             principal_gmean(Sequence((1, 2)), np.array([1.0 + 0j, -3.0 + 0j]))
 
+    @pytest.mark.parametrize("entries", [(1, 4), (1, 4, 9)])
+    def test_points_that_are_not_1d_rejected(self, entries):
+        # a 2-D array used to broadcast against the entries: wrong values for
+        # n = 2 (1.414 and 2.236 where 3.162 is due) and an untyped numpy
+        # error for n = 3
+        a = Sequence(entries)
+        public = [
+            principal_gmean, gmean_excess, gmean_excess_shifted, representation.remainder,
+            representation.gmean_via_representation, representation.shifted_excess_via_representation,
+            lambda a, z: contour.small_circle_term(a, z, 1e-3), lambda a, z: contour.big_circle_term(a, z, 1e3),
+            contour.cauchy_eval, lambda a, z: contour.line_collapse_check(a, z, 1e-3, 1e3),
+        ]
+        for f in public:
+            with pytest.raises(ValueError, match="a scalar or a 1-D array of points, got shape \\(2, 2\\)"):
+                f(a, np.ones((2, 2)))
+
     def test_branch_consistency(self):
         # n-th power recovers the product
         assert seeded_suite("branch-consistency", 11, 200).passed
@@ -155,6 +172,43 @@ class TestPrincipalGmean:
         lhs = principal_gmean(Sequence([lam * v for v in vals]), lam * z)
         rhs = lam * principal_gmean(a, z)
         assert abs(lhs - rhs) <= 1e-12 * abs(rhs)
+
+
+class TestBatch:
+    """A point of an array call is bit for bit its scalar call, in any order."""
+
+    @staticmethod
+    def corpus():
+        rng = np.random.default_rng(66)
+        seqs = [verify.random_sequence(rng) for _ in range(20)]
+        return seqs + [Sequence(10.0 ** rng.uniform(-2.0, 2.0, n)) for n in (9, 50, 150, 400)]
+
+    @staticmethod
+    def assert_batch_is_scalar(f, a, zs):
+        zs = np.array(zs, dtype=complex)
+        scalar = [repr(f(a, z)) for z in zs.tolist()]
+        assert [repr(v) for v in f(a, zs).tolist()] == scalar, a.values
+        assert [repr(v) for v in f(a, zs[::-1]).tolist()] == scalar[::-1], a.values
+
+    def test_principal_gmean(self):
+        for a in self.corpus():
+            self.assert_batch_is_scalar(principal_gmean, a, verify.representation_z_grid(a))
+
+    def test_matches_the_cmath_loop(self):
+        # the per-factor cmath loop sums the same logs in another order, so
+        # the two agree to the rounding of that sum, amplified by exp
+        eps = np.finfo(float).eps
+        for a in self.corpus():
+            for z in verify.representation_z_grid(a):
+                logs = [cmath.log(v + z) for v in a.values]
+                ref = cmath.exp(sum(logs) / a.n)
+                bound = (a.n + 2) * eps * max(1.0, max(abs(g) for g in logs))
+                assert abs(principal_gmean(a, z) - ref) <= bound * abs(ref), (a.values, z)
+
+    def test_gmean_excess_shifted(self):
+        # the grid rebased by min(a), off the rebased cut (-inf, 0]
+        for a in self.corpus():
+            self.assert_batch_is_scalar(gmean_excess_shifted, a, [z + a.min for z in verify.representation_z_grid(a)])
 
 
 class TestExcess:

@@ -13,7 +13,7 @@ from gmeanrep.quadrature import (
     QuadratureResult,
     QuadratureSpec,
     _adaptive,
-    bernstein_rho,
+    _ellipse_rho,
     gauss_jacobi,
     integrate,
     integrate_near_pole,
@@ -106,10 +106,14 @@ class TestGaussJacobi:
 
     def test_bernstein_rho(self):
         # on the interval the ellipse degenerates; off it rho = s + sqrt(s^2 - 1)
-        assert bernstein_rho(1.0, 3.0, 2.5) == 1.0
-        assert bernstein_rho(-1.0, 1.0, 2.0) == pytest.approx(2.0 + math.sqrt(3.0), rel=1e-15)
-        assert bernstein_rho(-1.0, 1.0, 1j) == pytest.approx(1.0 + math.sqrt(2.0), rel=1e-15)
-        assert bernstein_rho(0.0, 1.0, -np.inf) == np.inf
+        # for the semi-major axis s = (|t - lo| + |t - hi|) / (hi - lo)
+        def axis(lo, hi, t):
+            return (abs(t - lo) + abs(t - hi)) / (hi - lo)
+
+        assert _ellipse_rho(axis(1.0, 3.0, 2.5)) == 1.0
+        assert _ellipse_rho(axis(-1.0, 1.0, 2.0)) == pytest.approx(2.0 + math.sqrt(3.0), rel=1e-15)
+        assert _ellipse_rho(axis(-1.0, 1.0, 1j)) == pytest.approx(1.0 + math.sqrt(2.0), rel=1e-15)
+        assert _ellipse_rho(axis(0.0, 1.0, -np.inf)) == np.inf
 
 
 class TestIntegrate:

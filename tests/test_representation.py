@@ -10,6 +10,7 @@ import pytest
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import gmeanrep
@@ -19,6 +20,7 @@ from gmeanrep.means import (
     CutViolation,
     Sequence,
     arithmetic_mean,
+    geometric_mean,
     gmean_excess_shifted,
     principal_gmean,
 )
@@ -257,7 +259,7 @@ class TestFixedRule:
             zs += [complex(rng.uniform(-a.max, -a.min), 10.0 ** rng.uniform(-2, 0.5)) for _ in range(6)]
             whole = [representation._Panel(seg, 0.0, seg.lo, seg.hi, seg.m_lo, seg.m_hi) for seg in segs]
             for z in zs:
-                values, estimates = representation._fixed_rule(a.values, whole, z, 1.0)
+                (values,), (estimates,) = representation._rule(a.values, whole, np.array([z]), -1)
                 for seg, value, est in zip(segs, values, estimates):
                     if not est <= max(spec.abs_tol, spec.rel_tol * abs(value)):
                         continue
@@ -282,13 +284,13 @@ class TestFixedRule:
             for order in (0, 1):
                 for seg in segments(a):
                     panels = [representation._Panel(seg, 0.0, seg.lo, seg.hi, seg.m_lo, seg.m_hi)]
-                    (value,), (est,) = representation._moment_rule(a.values, panels, order)
+                    ((value,),), ((est,),) = representation._rule(a.values, panels, np.zeros(1), order)
                     if representation._admitted(value, est, representation._SPEC.abs_tol):
                         admitted += 1
                     else:
                         panels = representation._plan(a.values, seg)
                         planned += len(panels)
-                    values, estimates = representation._moment_rule(a.values, panels, order)
+                    (values,), (estimates,) = representation._rule(a.values, panels, np.zeros(1), order)
                     for p, value, est in zip(panels, values, estimates):
                         c, lo, hi = (seg.lo, 0.0, seg.hi - seg.lo) if p.anchor == 0.0 else (p.anchor, p.lo, p.hi)
                         offsets = np.array(a.values)[:, None] - c
@@ -385,6 +387,15 @@ class TestAmGmGap:
         # h**(1+p+q) underflows to 0 on the unscaled segment
         gap = am_gm_gap(Sequence((1e-300, 2e-300)))
         assert gap == pytest.approx(self.direct_gap(1e-300, 2e-300), rel=1e-12)
+
+    @pytest.mark.parametrize("entries", [(1e-322, 2e-322), (1e-320, 2e-320)])
+    def test_subnormal_entries(self, entries):
+        # the scaled abs_tol used to overflow to inf below max(a) of about
+        # 5.6e-321, so no estimate was admitted
+        a = Sequence(entries)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert am_gm_gap(a) == arithmetic_mean(a) - geometric_mean(a)
 
     @pytest.mark.parametrize("entries", [(1e-310, 1.0), (1e-300, 1e300), (5e-324, 1.7e308)])
     def test_subnormal_ratio_raises(self, entries):
