@@ -119,16 +119,20 @@ def boundary_imag_limit(a: Sequence, t: float) -> float:
     return math.exp(log_prod) * math.sin(ell * math.pi / a.n)
 
 
-def boundary_imag_numeric(a: Sequence, t: float, eps: float) -> float:
+def boundary_imag_numeric(a: Sequence, t, eps: float):
     """``Im gmean_excess_shifted(a, -t + i*eps)``; tends to the closed form as
     ``eps -> 0+``.  Defined for every ``t > 0`` and ``eps > 0`` (the point is
-    always off the cut).
+    always off the cut).  ``t`` may be a float or a 1-D ndarray; the return
+    type matches, and each value is bit for bit its scalar call's.
     """
-    if not t > 0.0:
-        raise DomainError(f"cut parameter must be positive, got {t!r}")
+    ts = np.atleast_1d(np.asarray(t, dtype=float))
+    bad = ts[~(ts > 0.0)]
+    if bad.size:
+        raise DomainError(f"cut parameter must be positive, got {float(bad[0])!r}")
     if not eps > 0.0:
         raise DomainError(f"eps must be positive, got {eps!r}")
-    return gmean_excess_shifted(a, complex(-t, eps)).imag
+    out = gmean_excess_shifted(a, -ts + 1j * eps).imag
+    return out if np.ndim(t) else float(out[0])
 
 
 def density_samples(a: Sequence, points_per_segment: int = 101):

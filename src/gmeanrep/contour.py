@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import representation
-from .means import Sequence, _check_cut, _check_point, _gmean_raw
+from .means import Sequence, _check_cut, _check_scalar_point, _gmean_raw
 from .quadrature import QuadratureFailure, QuadratureSpec, integrate, integrate_near_pole
 
 _TWO_PI_I = 2j * math.pi
@@ -110,7 +110,7 @@ def small_circle_term(a: Sequence, z, eps: float) -> complex:
 
     Its magnitude decays like ``eps**(1 + 1/n)`` as ``eps -> 0``.
     """
-    z = complex(_check_point(z))
+    z = _check_scalar_point(z)
     if not (0.0 < eps < abs(z)):
         raise GeometryError(f"need 0 < eps < |z|, got eps={eps}, |z|={abs(z)}")
     # reversed orientation: from pi/2 to -pi/2
@@ -126,7 +126,7 @@ def big_circle_term(a: Sequence, z, r: float) -> complex:
     is discretization plus cancellation noise (which grows with ``r``), not a
     1/r tail.
     """
-    z = complex(_check_point(z))
+    z = _check_scalar_point(z)
     if not r > abs(z):
         raise GeometryError(f"need r > |z|, got r={r}, |z|={abs(z)}")
     if not r > a.max:
@@ -188,7 +188,7 @@ def cauchy_eval(a: Sequence, z, spec: ContourSpec | None = None) -> ContourBreak
             the contour.
         QuadratureFailure: when an arc or line integral does not converge.
     """
-    z = complex(_check_point(z))
+    z = _check_scalar_point(z)
     if spec is None:
         spec = ContourSpec()
     _check_geometry(a, z, spec.eps, spec.r)
@@ -213,7 +213,7 @@ def line_collapse_check(a: Sequence, z, eps: float, r: float) -> tuple[complex, 
         QuadratureFailure: when a line integral or a segment integral of the
             remainder does not converge.
     """
-    z = complex(_check_point(z))
+    z = _check_scalar_point(z)
     ContourSpec(eps=eps, r=r)  # validates 0 < eps < r
     _check_geometry(a, z, eps, r)
     if not r > a.max:

@@ -84,6 +84,15 @@ def _check_point(z) -> complex | np.ndarray:
     return w
 
 
+def _check_scalar_point(z) -> complex:
+    """:func:`_check_point` for the functions that take one point: an array
+    of points raises a ``ValueError`` naming its shape."""
+    z = _check_point(z)
+    if isinstance(z, np.ndarray):
+        raise ValueError(f"expected a scalar point, got an array of shape {z.shape}")
+    return z
+
+
 def _check_cut(z, cut_end: float, label: str) -> None:
     """Reject points on the ray ``(-inf, cut_end]``."""
     if isinstance(z, np.ndarray):

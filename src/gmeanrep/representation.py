@@ -25,12 +25,16 @@ a power of two to ``max(a)`` in [1, 2) (``R`` is homogeneous of degree 1), so
 entries from 1e-300 to 1e308 neither under- nor overflow.
 
 ``remainder`` and ``gmean_via_representation`` take a complex scalar or a
-1-D array of points.  The rule weights do not depend on ``z``, so an array
-call builds them once per block of segments and forms only ``1/(t_j + z)``
-and the pole's ``rho`` per point; the moment is the same loop at the single
-point ``c = 0`` (:func:`_rule`).  Admission, the plan and the planned panels
-stay per (segment, ``z``).  The scalar call is the length-one case of the
-same code, and a point's result is bit for bit the same in any batch.
+1-D array of points.  The rule weights do not depend on ``z``: the
+whole-segment weights of the last sequence seen are kept, read-only, until a
+call on another sequence (or another ``_BLOCK``) replaces them
+(:func:`_whole_segments`), so an array call, a run of scalar calls and
+``density_moment`` on one sequence build them once, and each point forms only
+``1/(t_j + z)`` and the pole's ``rho``; the moment is the same loop at the
+single point ``c = 0`` (:func:`_rule`).  Admission, the plan and the planned
+panels stay per (segment, ``z``), and planned panels are built per call.  The
+scalar call is the length-one case of the same code, and a point's result is
+bit for bit the same in any batch and whether its weights were kept or built.
 
 ``z = 0`` needs no special handling: the integration variable stays >= min(a)
 > 0, so ``1/(t+z)`` is bounded for every ``re(z) > -min(a)``.  Within 1e-6 of
@@ -52,7 +56,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .boundary import SegmentDensity, _segments_raw
-from .means import Sequence, _check_cut, _check_point
+from .means import Sequence, _check_cut, _check_point, _check_scalar_point
 from .quadrature import (
     _ROUNDOFF,
     JACOBI_NODES,
@@ -139,12 +143,25 @@ def _neighbours(values: tuple[float, ...], seg: SegmentDensity) -> tuple[float, 
     return (values[below] if below >= 0 else -math.inf, values[above] if above < len(values) else math.inf)
 
 
-def _panel_weights(values: tuple[float, ...], panels: list[_Panel], density_scale: float):
+class _Block(NamedTuple):
+    """The z-free part of the rule on a block of panels: one row per panel,
+    one column per node.  The kernel's nodes are ``t = (anchor + c + base) +
+    off``; ``near / width`` is the semi-major axis of the Bernstein ellipse
+    through the neighbouring entries."""
+
+    anchor: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    base: np.ndarray
+    off: np.ndarray
+    weights: np.ndarray
+    near: np.ndarray
+    width: np.ndarray
+
+
+def _panel_weights(values: tuple[float, ...], panels: list[_Panel]) -> _Block:
     """The z-free part of the rule on a block of panels, for a caller that
-    ignores overflow and invalid operations: nodes ``x`` and, one column per
-    panel, ``anchor``, ``lo``, ``hi``, the nodes' distances to the ends, the
-    weights ``W``, ``near`` and ``width``; ``near / width`` is the semi-major
-    axis of the Bernstein ellipse through the neighbouring entries.
+    ignores overflow and invalid operations.
 
     On a panel with ``t = anchor + u``, ``u`` running from ``lo`` to ``hi``
     with half-width ``h``, the density is ``h**(p+q) * (1+x)**p * (1-x)**q *
@@ -152,7 +169,9 @@ def _panel_weights(values: tuple[float, ...], panels: list[_Panel], density_scal
     other entries, analytic on the panel.  The rule carries the Jacobi
     weight, so ``W_j = w_j * h**(1+p+q) * s(t_j)``.  The distances to the
     ends, ``h*(1+x)`` and ``h*(1-x)``, are added to the entries' offsets from
-    those ends, so nodes near an end keep their relative accuracy.
+    those ends, so nodes near an end keep their relative accuracy; a node is
+    ``(anchor + lo) + h*(1+x)`` on the lower half and ``(anchor + hi) +
+    (-h*(1-x))`` on the upper one, which are ``base`` and ``off``.
     """
     n = len(values)
     v = np.asarray(values)[:, None, None]
@@ -186,8 +205,50 @@ def _panel_weights(values: tuple[float, ...], panels: list[_Panel], density_scal
     dist += np.where(under, lo - offset, offset - hi)
     np.copyto(dist, 1.0, where=(v == in_lo) | (v == in_hi))
     log_s = np.log(dist, out=dist).sum(axis=0) / n
-    weights = w * h**power * np.exp(log_s) * density_scale
-    return x, anchor, lo, hi, from_lo, from_hi, weights, near, width
+    weights = w * h**power * np.exp(log_s)
+    lower = x <= 0.0
+    base = np.where(lower, lo, hi)
+    off = np.where(lower, from_lo, -from_hi)
+    return _Block(anchor, lo, hi, base, off, weights, near, width)
+
+
+def _blocks(values: tuple[float, ...], panels: list[_Panel]) -> list[_Block]:
+    """The rule's blocks for the panels: :func:`_panel_weights` built on runs
+    of panels whose ``n x panels x nodes`` temporary stays at about
+    ``_BLOCK`` elements, joined into blocks of up to ``_BLOCK`` nodes, since
+    the kernel's temporaries do not grow with ``n``."""
+    per_build = max(1, _BLOCK // (len(values) * JACOBI_NODES))
+    per_block = max(1, _BLOCK // (per_build * JACOBI_NODES))
+    with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
+        built = [_panel_weights(values, panels[i : i + per_build]) for i in range(0, len(panels), per_build)]
+    return [
+        run[0] if len(run) == 1 else _Block(*map(np.concatenate, zip(*run)))
+        for run in (built[i : i + per_block] for i in range(0, len(built), per_block))
+    ]
+
+
+# the segments and whole-segment blocks of the one sequence seen last, as
+# (key, (segments, blocks)); read and replaced whole, so it never holds two
+_LAST: list = [None]
+
+
+def _whole_segments(values: tuple[float, ...]) -> tuple[list[SegmentDensity], list[_Block]]:
+    """The segments of the (scaled) entries and the read-only blocks of
+    their whole-segment rule, kept for the last sequence seen: repeated calls
+    on one sequence, scalar or array, ``remainder`` or ``density_moment``,
+    build them once.  The key carries the block layout with the entries."""
+    key = (values, _BLOCK)
+    last = _LAST[0]
+    if last is not None and last[0] == key:
+        return last[1]
+    _LAST[0] = None  # drop the old entry before building the new one
+    segs = _segments_raw(values)
+    blocks = _blocks(values, [_Panel(seg, 0.0, seg.lo, seg.hi, seg.m_lo, seg.m_hi) for seg in segs])
+    for block in blocks:
+        for array in block:
+            array.flags.writeable = False
+    _LAST[0] = (key, (segs, blocks))
+    return segs, blocks
 
 
 def _bound(s):
@@ -196,39 +257,38 @@ def _bound(s):
 
 
 def _rule(
-    values: tuple[float, ...], panels: list[_Panel], points: np.ndarray, order: int, density_scale: float = 1.0
+    blocks: list[_Block], points: np.ndarray, order: int, density_scale: float = 1.0
 ) -> tuple[np.ndarray, np.ndarray]:
     """Gauss–Jacobi values ``sum_j W_j * k(t_j)`` of the panel integrals
     ``int k * density dt`` for the kernel ``k(t) = (t + c)**order``, and their
     estimates ``C * rho**(-2N) * sum_j |W_j * k(t_j)|``, one row per point
-    ``c`` of the 1-D array ``points`` and one column per panel.
+    ``c`` of the 1-D array ``points`` and one column per panel of ``blocks``.
 
     ``order = -1`` is the Stieltjes kernel of ``R`` at ``c = z``: its pole
     ``-z`` and the neighbours set ``rho``, the smallest ellipse through them.
     ``order >= 0`` is the moment kernel, taken at the single point ``c = 0``:
     it has no pole, so the neighbours alone set ``rho``.
 
-    The weights of :func:`_panel_weights` are built once per block of panels,
-    and only the kernel and the pole's ``rho`` are formed per point, on chunks
-    of points.  Blocks and chunks keep the largest temporary at about
-    ``_BLOCK`` elements, and every sum runs along the nodes, the contiguous
-    last axis, so a point's values do not depend on the other points or on
-    the chunking.
+    The weights come prebuilt from :func:`_blocks`, and only the kernel and
+    the pole's ``rho`` are formed per point, on chunks of points that keep
+    the largest temporary at about ``_BLOCK`` elements.  Every sum runs along
+    the nodes, the contiguous last axis, so a point's values do not depend on
+    the other points or on the chunking.
     """
-    per_block = max(1, _BLOCK // (len(values) * JACOBI_NODES))
+    columns = sum(len(block.anchor) for block in blocks)
     column = points.reshape(-1, 1, 1)
-    vals = np.empty((len(points), len(panels)), dtype=points.dtype)
-    ests = np.empty((len(points), len(panels)))
+    vals = np.empty((len(points), columns), dtype=points.dtype)
+    ests = np.empty((len(points), columns))
+    start = 0
     with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
-        for start in range(0, len(panels), per_block):
-            block = panels[start : start + per_block]
-            cols = slice(start, start + len(block))
-            x, anchor, lo, hi, from_lo, from_hi, weights, near, width = _panel_weights(values, block, density_scale)
-            per_chunk = max(1, _BLOCK // x.size)
+        for anchor, lo, hi, base, off, weights, near, width in blocks:
+            cols = slice(start, start + len(anchor))
+            start = cols.stop
+            weights = weights * density_scale
+            per_chunk = max(1, _BLOCK // weights.size)
             for c in range(0, len(points), per_chunk):
                 chunk = column[c : c + per_chunk]
-                shifted = anchor + chunk
-                t = np.where(x <= 0.0, (shifted + lo) + from_lo, (shifted + hi) - from_hi)
+                t = ((anchor + chunk) + base) + off
                 terms = weights / t if order < 0 else weights * t**order
                 vals[c : c + per_chunk, cols] = terms.sum(axis=-1)
                 s = near
@@ -299,14 +359,16 @@ def _admitted(val, est: float, abs_tol: float) -> bool:
     return est <= max(abs_tol, _SPEC.rel_tol * abs(val)) < math.inf
 
 
-def _segment_integrals(values, segs, points: np.ndarray, order: int, abs_tol: float, density_scale: float = 1.0):
+def _segment_integrals(
+    values, segs, whole, points: np.ndarray, order: int, abs_tol: float, density_scale: float = 1.0
+):
     """Per point ``c`` of ``points``, :func:`_rule`'s integrals over each
     segment of ``segs`` as ``(vals, ests, counts, failed)``: the
-    whole-segment rule, taken at every point in one call, where it is
-    admitted, else the sums over :func:`_plan`'s panels; ``counts`` holds the
-    panel counts and ``failed`` the indices of the segments that fail."""
-    whole = [_Panel(seg, 0.0, seg.lo, seg.hi, seg.m_lo, seg.m_hi) for seg in segs]
-    whole_vals, whole_ests = _rule(values, whole, points, order, density_scale)
+    whole-segment rule on the blocks ``whole``, taken at every point in one
+    call, where it is admitted, else the sums over :func:`_plan`'s panels;
+    ``counts`` holds the panel counts and ``failed`` the indices of the
+    segments that fail."""
+    whole_vals, whole_ests = _rule(whole, points, order, density_scale)
     for c, vals, ests in zip(points.tolist(), whole_vals.tolist(), whole_ests.tolist()):
         counts, failed = [1] * len(segs), []
         for i, seg in enumerate(segs):
@@ -314,7 +376,7 @@ def _segment_integrals(values, segs, points: np.ndarray, order: int, abs_tol: fl
                 continue
             plan = _plan(values, seg, c if order < 0 else None)
             if plan is not None:
-                panel_vals, panel_ests = _rule(values, plan, np.array([c]), order, density_scale)
+                panel_vals, panel_ests = _rule(_blocks(values, plan), np.array([c]), order, density_scale)
                 with np.errstate(invalid="ignore", over="ignore"):
                     vals[i], ests[i], counts[i] = panel_vals.sum().item(), float(panel_ests.sum()), len(plan)
             if plan is None or not _admitted(vals[i], ests[i], abs_tol):
@@ -349,8 +411,8 @@ def _remainder_raw(
     scaled, e, abs_tol = _scaled(values, 1)
     scale = math.ldexp(1.0, e)
     zs = [p / scale for p in points]
-    segs = _segments_raw(scaled)
-    integrals = _segment_integrals(scaled, segs, np.array(zs, dtype=complex), -1, abs_tol, density_scale)
+    segs, whole = _whole_segments(scaled)
+    integrals = _segment_integrals(scaled, segs, whole, np.array(zs, dtype=complex), -1, abs_tol, density_scale)
     results, failures = [], []
     for point, zk, (vals, ests, counts, failed) in zip(points, zs, integrals):
         per = tuple(
@@ -426,7 +488,7 @@ def shifted_excess_via_representation(a: Sequence, z) -> complex:
     Raises:
         CutViolation: for ``z`` on ``(-inf, 0]``.
     """
-    z = complex(_check_point(z))
+    z = _check_scalar_point(z)
     _check_cut(z, 0.0, "shifted_excess_via_representation")
     shifted = a.shifted()
     rem = _remainder_raw(shifted, z, 1.0)
@@ -459,8 +521,8 @@ def density_moment(a: Sequence, order: int) -> float:
     # the moment is homogeneous of degree order + 2
     scaled, e, abs_tol = _scaled(a.values, order + 2)
     shift = e * (order + 2)
-    segs = _segments_raw(scaled)
-    ((vals, _, _, failed),) = _segment_integrals(scaled, segs, np.zeros(1), order, abs_tol)
+    segs, whole = _whole_segments(scaled)
+    ((vals, _, _, failed),) = _segment_integrals(scaled, segs, whole, np.zeros(1), order, abs_tol)
     try:
         total = math.ldexp(sum((seg.weight * val for seg, val in zip(segs, vals)), 0.0), shift)
     except OverflowError:

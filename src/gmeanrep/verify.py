@@ -246,10 +246,13 @@ def _suite_boundary_limit(rng, cases, ctx, res: SuiteResult):
     total = 0
     for _ in range(cases):
         a = random_sequence(rng)
-        for t in _sample_t_away_from_junctions(rng, a, 50):
+        ts = _sample_t_away_from_junctions(rng, a, 50)
+        num6 = boundary.boundary_imag_numeric(a, np.array(ts), 1e-6).tolist()
+        num8 = boundary.boundary_imag_numeric(a, np.array(ts), 1e-8).tolist()
+        for t, n6, n8 in zip(ts, num6, num8):
             closed = boundary.boundary_imag_limit(a, t)
-            err6 = abs(boundary.boundary_imag_numeric(a, t, 1e-6) - closed)
-            err8 = abs(boundary.boundary_imag_numeric(a, t, 1e-8) - closed)
+            err6 = abs(n6 - closed)
+            err8 = abs(n8 - closed)
             res.record(err6)
             total += 1
             if err8 < err6 or err8 <= 1e-12:

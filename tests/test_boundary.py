@@ -138,6 +138,22 @@ class TestBoundaryNumeric:
             boundary_imag_numeric(Sequence((1, 2)), -1.0, 1e-6)
         with pytest.raises(DomainError):
             boundary_imag_numeric(Sequence((1, 2)), 1.0, 0.0)
+        with pytest.raises(DomainError, match="got 0.0"):
+            boundary_imag_numeric(Sequence((1, 2)), np.array([1.0, 0.0, 2.0]), 1e-6)
+
+    def test_array_of_t_is_the_same_in_any_batch(self):
+        # a value of an array call is bit for bit its scalar call, in any order
+        rng = np.random.default_rng(68)
+        corpus = [random_sequence(rng) for _ in range(20)]
+        corpus += [Sequence(10.0 ** rng.uniform(-2.0, 2.0, n)) for n in (9, 150)]
+        for a in corpus:
+            ts = rng.uniform(1e-2, a.max - a.min + 2.0, 25)
+            for eps in (1e-6, 1e-8):
+                scalar = [repr(boundary_imag_numeric(a, t, eps)) for t in ts.tolist()]
+                assert [repr(v) for v in boundary_imag_numeric(a, ts, eps).tolist()] == scalar, a.values
+                assert [repr(v) for v in boundary_imag_numeric(a, ts[::-1], eps).tolist()] == scalar[::-1]
+        assert boundary_imag_numeric(Sequence((1, 3)), np.array([]), 1e-6).shape == (0,)
+        assert isinstance(boundary_imag_numeric(Sequence((1, 3)), 1.0, 1e-6), float)
 
 
 class TestDensityMoment:

@@ -147,6 +147,24 @@ class TestPrincipalGmean:
             with pytest.raises(ValueError, match="a scalar or a 1-D array of points, got shape \\(2, 2\\)"):
                 f(a, np.ones((2, 2)))
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda a, z: contour.small_circle_term(a, z, 1e-3),
+            lambda a, z: contour.big_circle_term(a, z, 1e3),
+            contour.cauchy_eval,
+            lambda a, z: contour.line_collapse_check(a, z, 1e-3, 1e3),
+            representation.shifted_excess_via_representation,
+        ],
+        ids=["small_circle_term", "big_circle_term", "cauchy_eval", "line_collapse_check", "shifted_excess"],
+    )
+    @pytest.mark.parametrize("points", [[1j], [1j, 2 + 1j]], ids=["length-1", "length-2"])
+    def test_scalar_only_functions_reject_arrays(self, call, points):
+        # a 1-D array used to raise numpy's untyped TypeError
+        z = np.array(points)
+        with pytest.raises(ValueError, match=f"expected a scalar point, got an array of shape \\({len(points)},\\)"):
+            call(Sequence((1, 2, 3)), z)
+
     def test_branch_consistency(self):
         # n-th power recovers the product
         assert seeded_suite("branch-consistency", 11, 200).passed

@@ -241,6 +241,89 @@ class TestBatch:
             remainder(Sequence((1, 2, 3)), np.ones((2, 2)))
 
 
+def _cold(call):
+    # the call with the memo of the whole-segment rule emptied first
+    representation._LAST[0] = None
+    return call()
+
+
+class TestMemo:
+    """The whole-segment rule is kept for the last sequence only, and a call
+    that finds it there is bit for bit a call that builds it."""
+
+    A = Sequence((0.3, 1.0, 1.0, 2.5, 7.0))
+    ZS = [1.0 + 0j, 0j, complex(-1.7, 1e-5), complex(-0.5, -1e-9), 3 - 2j]
+
+    def test_scalar_call(self):
+        for z in self.ZS:
+            cold = _bits(_cold(lambda: remainder(self.A, z)))
+            assert _bits(remainder(self.A, z)) == cold, z
+            # a sequence of the same length, right after it, is not served A's rule
+            other = Sequence((0.3, 1.0, 1.5, 2.5, 7.0))
+            assert _bits(remainder(other, z)) == _bits(_cold(lambda: remainder(other, z))), z
+
+    def test_array_call(self):
+        cold = [_bits(rem) for rem in _cold(lambda: remainder(self.A, np.array(self.ZS)))]
+        assert [_bits(rem) for rem in remainder(self.A, np.array(self.ZS))] == cold
+
+    def test_density_scale_after_a_cached_call(self):
+        scale = 1 + 1e-6
+        for z in self.ZS:
+            cold = _bits(_cold(lambda: remainder(self.A, z, density_scale=scale)))
+            remainder(self.A, z)
+            warm = remainder(self.A, z, density_scale=scale)
+            assert _bits(warm) == cold, z
+            assert warm.value != remainder(self.A, z).value, z
+
+    def test_density_moment_after_remainder(self):
+        for order in (0, 2):
+            cold = _cold(lambda: density_moment(self.A, order))
+            remainder(self.A, 1.0)
+            assert repr(density_moment(self.A, order)) == repr(cold), order
+
+    def test_cached_arrays_are_read_only(self):
+        remainder(self.A, 1.0)
+        (key, (segs, blocks)) = representation._LAST[0]
+        assert key[0] == representation._scaled(self.A.values, 1)[0]
+        assert sum(len(block.anchor) for block in blocks) == len(segs) == 3
+        for block in blocks:
+            for array in block:
+                assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            blocks[0].weights[0, 0] = 0.0
+
+    def test_one_build_per_sequence(self, monkeypatch):
+        # k calls on one sequence build its whole-segment weights once; a
+        # second sequence replaces it, so coming back builds them again
+        builds = []
+        build = representation._panel_weights
+
+        def counting(values, panels):
+            if all(p.anchor == 0.0 and (p.lo, p.hi) == (p.seg.lo, p.seg.hi) for p in panels):
+                builds.append(len(panels))
+            return build(values, panels)
+
+        monkeypatch.setattr(representation, "_panel_weights", counting)
+        a = Sequence(10.0 ** np.random.default_rng(65).uniform(-1.0, 1.0, 40))
+        zs = representation_z_grid(a)[:8]
+        _cold(lambda: remainder(a, zs[0]))
+        once = list(builds)
+        # n = 40 takes more than one build per sequence at the default _BLOCK
+        assert len(once) > 1 and sum(once) == len(segments(a))
+        for z in zs[1:]:
+            remainder(a, z)
+        remainder(a, np.array(zs))
+        gmean_via_representation(a, zs[1])
+        am_gm_gap(a)
+        density_moment(a, 0)
+        assert builds == once
+        remainder(Sequence((1, 2, 3)), 1.0)
+        assert builds == once + [2]
+        remainder(a, zs[0])
+        assert builds == once + [2] + once
+        assert len(representation._LAST) == 1
+
+
 class TestFixedRule:
     def test_bound_covers_admitted_pairs(self):
         # every (segment, z) pair the a-priori bound admits is within its
@@ -259,7 +342,7 @@ class TestFixedRule:
             zs += [complex(rng.uniform(-a.max, -a.min), 10.0 ** rng.uniform(-2, 0.5)) for _ in range(6)]
             whole = [representation._Panel(seg, 0.0, seg.lo, seg.hi, seg.m_lo, seg.m_hi) for seg in segs]
             for z in zs:
-                (values,), (estimates,) = representation._rule(a.values, whole, np.array([z]), -1)
+                (values,), (estimates,) = representation._rule(representation._blocks(a.values, whole), np.array([z]), -1)
                 for seg, value, est in zip(segs, values, estimates):
                     if not est <= max(spec.abs_tol, spec.rel_tol * abs(value)):
                         continue
@@ -284,13 +367,13 @@ class TestFixedRule:
             for order in (0, 1):
                 for seg in segments(a):
                     panels = [representation._Panel(seg, 0.0, seg.lo, seg.hi, seg.m_lo, seg.m_hi)]
-                    ((value,),), ((est,),) = representation._rule(a.values, panels, np.zeros(1), order)
+                    ((value,),), ((est,),) = representation._rule(representation._blocks(a.values, panels), np.zeros(1), order)
                     if representation._admitted(value, est, representation._SPEC.abs_tol):
                         admitted += 1
                     else:
                         panels = representation._plan(a.values, seg)
                         planned += len(panels)
-                    (values,), (estimates,) = representation._rule(a.values, panels, np.zeros(1), order)
+                    (values,), (estimates,) = representation._rule(representation._blocks(a.values, panels), np.zeros(1), order)
                     for p, value, est in zip(panels, values, estimates):
                         c, lo, hi = (seg.lo, 0.0, seg.hi - seg.lo) if p.anchor == 0.0 else (p.anchor, p.lo, p.hi)
                         offsets = np.array(a.values)[:, None] - c
