@@ -9,7 +9,9 @@ that limit is exactly the density integrated by the remainder transform in
 
 Densities are always evaluated in log space (products of up to n small
 factors underflow otherwise) and vanish identically at segment endpoints.
-All closed forms: :mod:`gmeanrep.representation` integrates the densities.
+The cut limit and its finite-offset counterpart take a float or a 1-D array
+of ``t`` on one path, a float being the length-one array.  All closed forms:
+:mod:`gmeanrep.representation` integrates the densities.
 """
 
 from __future__ import annotations
@@ -96,27 +98,38 @@ def segments(a: Sequence) -> list[SegmentDensity]:
     return _segments_raw(a.values)
 
 
-def boundary_imag_limit(a: Sequence, t: float) -> float:
+def _check_cut_parameter(t) -> np.ndarray:
+    """``t`` as a 1-D float array; raises :class:`DomainError` naming the
+    first value that is not positive, and ``ValueError`` for other shapes."""
+    ts = np.atleast_1d(np.asarray(t, dtype=float))
+    if ts.ndim != 1:
+        raise ValueError(f"expected a scalar or a 1-D array of t, got shape {ts.shape}")
+    bad = ts[~(ts > 0.0)]
+    if bad.size:
+        raise DomainError(f"cut parameter must be positive, got {float(bad[0])!r}")
+    return ts
+
+
+def boundary_imag_limit(a: Sequence, t):
     """Closed form of the cut limit of ``Im gmean_excess_shifted(a, -t + i*eps)``.
 
     For ``t`` in the l-th rebased gap ``(a_l - a1, a_{l+1} - a1)`` this is
     ``[prod_k |a_k - a1 - t|]**(1/n) * sin(l*pi/n)``; beyond the last entry it
     is zero, and at the gap junctions the product itself vanishes, so the
-    value is zero there as well.
+    value is zero there as well.  ``t`` may be a float or a 1-D ndarray; the
+    return type matches, and each value is bit for bit its scalar call's.
 
     Raises:
-        DomainError: if ``t <= 0``.
+        DomainError: if any ``t <= 0``.
+        ValueError: for an array that is not 1-D.
     """
-    if not t > 0.0:
-        raise DomainError(f"cut parameter must be positive, got {t!r}")
+    ts = _check_cut_parameter(t)
     shifted = a.shifted()
-    if t > shifted[-1]:
-        return 0.0
-    if any(s == t for s in shifted):
-        return 0.0
-    ell = sum(1 for s in shifted if s < t)
-    log_prod = float(_log_abs_product(shifted, [t])[0])
-    return math.exp(log_prod) * math.sin(ell * math.pi / a.n)
+    ell = np.searchsorted(shifted, ts, side="left")
+    # exp runs on the fresh contiguous array, so no value depends on the layout of t
+    out = np.exp(_log_abs_product(shifted, ts)) * np.sin(ell * math.pi / a.n)
+    out[ts > shifted[-1]] = 0.0
+    return out if np.ndim(t) else float(out[0])
 
 
 def boundary_imag_numeric(a: Sequence, t, eps: float):
@@ -125,10 +138,7 @@ def boundary_imag_numeric(a: Sequence, t, eps: float):
     always off the cut).  ``t`` may be a float or a 1-D ndarray; the return
     type matches, and each value is bit for bit its scalar call's.
     """
-    ts = np.atleast_1d(np.asarray(t, dtype=float))
-    bad = ts[~(ts > 0.0)]
-    if bad.size:
-        raise DomainError(f"cut parameter must be positive, got {float(bad[0])!r}")
+    ts = _check_cut_parameter(t)
     if not eps > 0.0:
         raise DomainError(f"eps must be positive, got {eps!r}")
     out = gmean_excess_shifted(a, -ts + 1j * eps).imag

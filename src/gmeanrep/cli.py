@@ -46,7 +46,7 @@ from .means import (
 )
 from .quadrature import QuadratureFailure
 from .representation import _reconstruct, am_gm_gap, remainder
-from .verify import cut_distance, run_suites
+from .verify import _Z_GRID_MIN_DIST, cut_distance, run_suites
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -171,6 +171,10 @@ def cmd_eval(args) -> int:
 
 
 def cmd_density(args) -> int:
+    if args.points < 1:
+        raise ValueError("--points must be >= 1")
+    if not args.eps > 0.0:
+        raise ValueError("--eps must be > 0")
     a = parse_sequence(args.a)
     if args.kind == "segments":
         rows = [
@@ -180,20 +184,19 @@ def cmd_density(args) -> int:
         return _emit(_csv_text(["t", "density", "weighted_density", "segment_index"], rows), args.out)
     rows = []
     shifted_segs = _segments_raw(a.shifted())
-    for seg in shifted_segs:
-        for t in np.linspace(seg.lo, seg.hi, args.points + 2)[1:-1]:
-            t = float(t)
-            rows.append(
-                [ffmt(t), ffmt(boundary_imag_limit(a, t)),
-                 ffmt(boundary_imag_numeric(a, t, args.eps)), str(seg.index)]
-            )
     if shifted_segs:
         top = a.max - a.min
-        for t in (top + 0.5, top + 1.0, top + 2.0):
-            rows.append(
-                [ffmt(t), ffmt(boundary_imag_limit(a, t)),
-                 ffmt(boundary_imag_numeric(a, t, args.eps)), "0"]
-            )
+        ts = np.concatenate(
+            [np.linspace(seg.lo, seg.hi, args.points + 2)[1:-1] for seg in shifted_segs]
+            + [np.array([top + 0.5, top + 1.0, top + 2.0])]
+        )
+        labels = [str(seg.index) for seg in shifted_segs for _ in range(args.points)] + ["0"] * 3
+        closed = boundary_imag_limit(a, ts).tolist()
+        numeric = boundary_imag_numeric(a, ts, args.eps).tolist()
+        rows = [
+            [ffmt(t), ffmt(c), ffmt(v), label]
+            for t, c, v, label in zip(ts.tolist(), closed, numeric, labels)
+        ]
     return _emit(_csv_text(["t", "closed", "numeric_eps", "segment"], rows), args.out)
 
 
@@ -273,13 +276,15 @@ def cmd_verify(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    if args.grid < 1:
+        raise ValueError("--grid must be >= 1")
     a = parse_sequence(args.a)
     grid = [
         complex(float(re_z), float(im_z))
         for re_z in np.linspace(args.re_min, args.re_max, args.grid)
         for im_z in np.linspace(args.im_min, args.im_max, args.grid)
     ]
-    zs = [z for z in grid if cut_distance(a, z) >= 0.05]
+    zs = [z for z in grid if cut_distance(a, z) >= _Z_GRID_MIN_DIST]
     points = np.array(zs, dtype=complex)
     rems = remainder(a, points)
     directs = principal_gmean(a, points).tolist()
@@ -325,8 +330,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("contour", help="keyhole-contour breakdown at one point")
     p.add_argument("--a", required=True)
     p.add_argument("--z", required=True)
-    p.add_argument("--eps", type=float, default=1e-3, help="small-arc radius and line offset")
-    p.add_argument("--r", type=float, default=1e3, help="outer-arc radius")
+    p.add_argument("--eps", type=float, default=ContourSpec.eps, help="small-arc radius and line offset")
+    p.add_argument("--r", type=float, default=ContourSpec.r, help="outer-arc radius")
     p.add_argument("--format", choices=("csv", "json", "table"), default="csv")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_contour)

@@ -13,7 +13,9 @@ Every piece is integrated by :mod:`gmeanrep.quadrature`: the arcs over their
 angle with the default :class:`~gmeanrep.quadrature.QuadratureSpec`, the
 lines over ``x`` with a fixed line budget, split at the cut junctions and at
 the real projection of ``z``.  An integral that does not converge raises
-:class:`~gmeanrep.quadrature.QuadratureFailure`.
+:class:`~gmeanrep.quadrature.QuadratureFailure`.  Every function here takes
+one scalar point: each piece is an adaptive integral of its own per point,
+so an array form would only loop over the points.
 
 The contour is closed approximately: the lines are truncated at ``x = -r``
 and the outer arc spans the full ``(-pi, pi)``; the resulting O(eps/r)

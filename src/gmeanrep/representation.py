@@ -256,9 +256,7 @@ def _bound(s):
     return np.maximum(_BOUND_C * _ellipse_rho(s) ** (-2.0 * JACOBI_NODES), _ROUNDOFF)
 
 
-def _rule(
-    blocks: list[_Block], points: np.ndarray, order: int, density_scale: float = 1.0
-) -> tuple[np.ndarray, np.ndarray]:
+def _rule(blocks: list[_Block], points: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss–Jacobi values ``sum_j W_j * k(t_j)`` of the panel integrals
     ``int k * density dt`` for the kernel ``k(t) = (t + c)**order``, and their
     estimates ``C * rho**(-2N) * sum_j |W_j * k(t_j)|``, one row per point
@@ -284,7 +282,6 @@ def _rule(
         for anchor, lo, hi, base, off, weights, near, width in blocks:
             cols = slice(start, start + len(anchor))
             start = cols.stop
-            weights = weights * density_scale
             per_chunk = max(1, _BLOCK // weights.size)
             for c in range(0, len(points), per_chunk):
                 chunk = column[c : c + per_chunk]
@@ -359,16 +356,14 @@ def _admitted(val, est: float, abs_tol: float) -> bool:
     return est <= max(abs_tol, _SPEC.rel_tol * abs(val)) < math.inf
 
 
-def _segment_integrals(
-    values, segs, whole, points: np.ndarray, order: int, abs_tol: float, density_scale: float = 1.0
-):
+def _segment_integrals(values, segs, whole, points: np.ndarray, order: int, abs_tol: float):
     """Per point ``c`` of ``points``, :func:`_rule`'s integrals over each
     segment of ``segs`` as ``(vals, ests, counts, failed)``: the
     whole-segment rule on the blocks ``whole``, taken at every point in one
     call, where it is admitted, else the sums over :func:`_plan`'s panels;
     ``counts`` holds the panel counts and ``failed`` the indices of the
     segments that fail."""
-    whole_vals, whole_ests = _rule(whole, points, order, density_scale)
+    whole_vals, whole_ests = _rule(whole, points, order)
     for c, vals, ests in zip(points.tolist(), whole_vals.tolist(), whole_ests.tolist()):
         counts, failed = [1] * len(segs), []
         for i, seg in enumerate(segs):
@@ -376,7 +371,7 @@ def _segment_integrals(
                 continue
             plan = _plan(values, seg, c if order < 0 else None)
             if plan is not None:
-                panel_vals, panel_ests = _rule(_blocks(values, plan), np.array([c]), order, density_scale)
+                panel_vals, panel_ests = _rule(_blocks(values, plan), np.array([c]), order)
                 with np.errstate(invalid="ignore", over="ignore"):
                     vals[i], ests[i], counts[i] = panel_vals.sum().item(), float(panel_ests.sum()), len(plan)
             if plan is None or not _admitted(vals[i], ests[i], abs_tol):
@@ -412,12 +407,14 @@ def _remainder_raw(
     scale = math.ldexp(1.0, e)
     zs = [p / scale for p in points]
     segs, whole = _whole_segments(scaled)
-    integrals = _segment_integrals(scaled, segs, whole, np.array(zs, dtype=complex), -1, abs_tol, density_scale)
+    integrals = _segment_integrals(scaled, segs, whole, np.array(zs, dtype=complex), -1, abs_tol)
+    # the fault-injection scale rides on each segment's weight (exact at 1.0)
+    weights = [seg.weight * density_scale for seg in segs]
     results, failures = [], []
     for point, zk, (vals, ests, counts, failed) in zip(points, zs, integrals):
         per = tuple(
-            (seg.index, scale * (seg.weight * complex(val)), scale * (seg.weight * est))
-            for seg, val, est in zip(segs, vals, ests)
+            (seg.index, scale * (w * complex(val)), scale * (w * est))
+            for seg, w, val, est in zip(segs, weights, vals, ests)
         )
         value = sum((c for _, c, _ in per), 0j)
         total_err = float(sum(e for _, _, e in per))

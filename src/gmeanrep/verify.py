@@ -246,19 +246,16 @@ def _suite_boundary_limit(rng, cases, ctx, res: SuiteResult):
     total = 0
     for _ in range(cases):
         a = random_sequence(rng)
-        ts = _sample_t_away_from_junctions(rng, a, 50)
-        num6 = boundary.boundary_imag_numeric(a, np.array(ts), 1e-6).tolist()
-        num8 = boundary.boundary_imag_numeric(a, np.array(ts), 1e-8).tolist()
-        for t, n6, n8 in zip(ts, num6, num8):
-            closed = boundary.boundary_imag_limit(a, t)
-            err6 = abs(n6 - closed)
-            err8 = abs(n8 - closed)
-            res.record(err6)
-            total += 1
-            if err8 < err6 or err8 <= 1e-12:
-                improved += 1
-            if err6 > 1e-3:
-                res.fail((a.values, t), "|numeric(1e-6) - closed| <= 1e-3", err6)
+        ts = np.array(_sample_t_away_from_junctions(rng, a, 50))
+        closed = boundary.boundary_imag_limit(a, ts)
+        err6 = np.abs(boundary.boundary_imag_numeric(a, ts, 1e-6) - closed)
+        err8 = np.abs(boundary.boundary_imag_numeric(a, ts, 1e-8) - closed)
+        res.record(err6.max(initial=0.0))
+        total += ts.size
+        improved += int(np.count_nonzero((err8 < err6) | (err8 <= 1e-12)))
+        bad = err6 > 1e-3
+        for t, err in zip(ts[bad].tolist(), err6[bad].tolist()):
+            res.fail((a.values, t), "|numeric(1e-6) - closed| <= 1e-3", err)
     if total and improved / total < 0.95:
         res.fail("aggregate", "error at eps=1e-8 smaller in >= 95% of pairs", improved / total)
 
@@ -276,11 +273,11 @@ def _suite_boundary_endpoints(rng, cases, ctx, res: SuiteResult):
 def _suite_boundary_nonnegative(rng, cases, ctx, res: SuiteResult):
     for _ in range(cases):
         a = random_sequence(rng)
-        for _ in range(50):
-            t = float(rng.uniform(1e-6, a.max - a.min + 2.0))
-            v = boundary.boundary_imag_limit(a, t)
-            if v < 0.0:
-                res.fail((a.values, t), "closed-form boundary limit >= 0", v)
+        ts = rng.uniform(1e-6, a.max - a.min + 2.0, 50)
+        vs = boundary.boundary_imag_limit(a, ts)
+        bad = vs < 0.0
+        for t, v in zip(ts[bad].tolist(), vs[bad].tolist()):
+            res.fail((a.values, t), "closed-form boundary limit >= 0", v)
 
 
 def _suite_boundary_scaling(rng, cases, ctx, res: SuiteResult):
@@ -297,14 +294,14 @@ def _suite_boundary_scaling(rng, cases, ctx, res: SuiteResult):
             res.record(err)
             if err > 1e-12 or gb.index != ga.index:
                 res.fail((a.values, lam), "segments scale covariantly", (ga, gb))
-        ts = _sample_t_away_from_junctions(rng, a, 10)
-        for t in ts:
-            lhs = boundary.boundary_imag_limit(b, lam * t)
-            rhs = lam * boundary.boundary_imag_limit(a, t)
-            err = abs(lhs - rhs) / max(abs(rhs), 1e-300) if rhs else abs(lhs)
-            res.record(err)
-            if err > 1e-12:
-                res.fail((a.values, lam, t), "boundary limit scales covariantly to 1e-12", err)
+        ts = np.array(_sample_t_away_from_junctions(rng, a, 10))
+        lhs = boundary.boundary_imag_limit(b, lam * ts)
+        rhs = lam * boundary.boundary_imag_limit(a, ts)
+        errs = np.where(rhs != 0.0, np.abs(lhs - rhs) / np.maximum(np.abs(rhs), 1e-300), np.abs(lhs))
+        res.record(errs.max(initial=0.0))
+        bad = errs > 1e-12
+        for t, err in zip(ts[bad].tolist(), errs[bad].tolist()):
+            res.fail((a.values, lam, t), "boundary limit scales covariantly to 1e-12", err)
 
 
 def _suite_mass_identity(rng, cases, ctx, res: SuiteResult):

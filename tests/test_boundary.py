@@ -103,6 +103,25 @@ class TestBoundaryLimit:
     def test_nonnegative_everywhere(self):
         assert seeded_suite("boundary-nonnegative", 32, 50).passed
 
+    @pytest.mark.parametrize(
+        "suite, fault, contract",
+        [
+            ("boundary-limit", lambda v: 1.01 * v, "|numeric(1e-6) - closed| <= 1e-3"),
+            ("boundary-nonnegative", lambda v: -v, "closed-form boundary limit >= 0"),
+            # an offset is not homogeneous of degree 1
+            ("boundary-scaling", lambda v: v + 1e-9, "boundary limit scales covariantly to 1e-12"),
+        ],
+    )
+    def test_suites_can_fail(self, monkeypatch, suite, fault, contract):
+        from gmeanrep import boundary
+
+        assert seeded_suite(suite, 36, 10).passed
+        exact = boundary.boundary_imag_limit
+        monkeypatch.setattr(boundary, "boundary_imag_limit", lambda a, t: fault(exact(a, t)))
+        res = seeded_suite(suite, 36, 10)
+        assert not res.passed
+        assert {f["contract"] for f in res.failures} == {contract}
+
     def test_scaling_covariance(self):
         rng = np.random.default_rng(33)
         for _ in range(50):
@@ -138,23 +157,34 @@ class TestBoundaryNumeric:
             boundary_imag_numeric(Sequence((1, 2)), -1.0, 1e-6)
         with pytest.raises(DomainError):
             boundary_imag_numeric(Sequence((1, 2)), 1.0, 0.0)
-        with pytest.raises(DomainError, match="got 0.0"):
-            boundary_imag_numeric(Sequence((1, 2)), np.array([1.0, 0.0, 2.0]), 1e-6)
+        # both forms share one check of t
+        for form in (boundary_imag_limit, lambda a, t: boundary_imag_numeric(a, t, 1e-6)):
+            with pytest.raises(DomainError, match="got 0.0"):
+                form(Sequence((1, 2)), np.array([1.0, 0.0, 2.0]))
+            with pytest.raises(ValueError, match="1-D"):
+                form(Sequence((1, 2)), np.ones((2, 2)))
 
     def test_array_of_t_is_the_same_in_any_batch(self):
-        # a value of an array call is bit for bit its scalar call, in any order
+        # a value of an array call is bit for bit its scalar call, in order,
+        # reversed and on a strided view, for the numeric and the closed form
         rng = np.random.default_rng(68)
         corpus = [random_sequence(rng) for _ in range(20)]
         corpus += [Sequence(10.0 ** rng.uniform(-2.0, 2.0, n)) for n in (9, 150)]
+        corpus += [Sequence((4, 4, 4)), Sequence([3.0]), Sequence((1, 2, 2, 5))]
+        forms = [lambda a, t, eps=eps: boundary_imag_numeric(a, t, eps) for eps in (1e-6, 1e-8)]
+        forms.append(boundary_imag_limit)
         for a in corpus:
-            ts = rng.uniform(1e-2, a.max - a.min + 2.0, 25)
-            for eps in (1e-6, 1e-8):
-                scalar = [repr(boundary_imag_numeric(a, t, eps)) for t in ts.tolist()]
-                assert [repr(v) for v in boundary_imag_numeric(a, ts, eps).tolist()] == scalar, a.values
-                assert [repr(v) for v in boundary_imag_numeric(a, ts[::-1], eps).tolist()] == scalar[::-1]
-        assert boundary_imag_numeric(Sequence((1, 3)), np.array([]), 1e-6).shape == (0,)
-        assert isinstance(boundary_imag_numeric(Sequence((1, 3)), 1.0, 1e-6), float)
-
+            # junctions and points beyond the last entry among the draws
+            junctions = [s for s in a.shifted() if s > 0.0]
+            ts = np.concatenate((rng.uniform(1e-2, a.max - a.min + 2.0, 25), junctions, [a.max - a.min + 1.0]))
+            for form in forms:
+                scalar = [repr(form(a, t)) for t in ts.tolist()]
+                assert [repr(v) for v in form(a, ts).tolist()] == scalar, a.values
+                assert [repr(v) for v in form(a, ts[::-1]).tolist()] == scalar[::-1], a.values
+                assert [repr(v) for v in form(a, ts[::2]).tolist()] == scalar[::2], a.values
+        for form in forms:
+            assert form(Sequence((1, 3)), np.array([])).shape == (0,)
+            assert isinstance(form(Sequence((1, 3)), 1.0), float)
 
 class TestDensityMoment:
     def test_constant_sequence_zero(self):

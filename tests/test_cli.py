@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gmeanrep.boundary import boundary_imag_limit, boundary_imag_numeric
 from gmeanrep.cli import (
     EXIT_CONFIG,
     EXIT_CUT,
@@ -148,6 +149,40 @@ class TestDensity:
         assert lines[0] == "t,density,weighted_density,segment_index"
         assert len(lines) == 4
 
+    def test_rows_match_scalar_calls(self, capsys):
+        # the one array call per column gives the bits of a call per row
+        _, out, _ = run(capsys, "density", "--a", "0.3,1,1,2.5,7", "--points", "4")
+        a = parse_sequence("0.3,1,1,2.5,7")
+        shifted = a.shifted()
+        ts, labels = [], []
+        for ell in range(1, a.n):
+            if shifted[ell - 1] < shifted[ell]:
+                inner = np.linspace(shifted[ell - 1], shifted[ell], 6)[1:-1].tolist()
+                ts += inner
+                labels += [str(ell)] * len(inner)
+        top = a.max - a.min
+        ts += [top + 0.5, top + 1.0, top + 2.0]
+        labels += ["0"] * 3
+        rows = ["t,closed,numeric_eps,segment"]
+        for t, label in zip(ts, labels):
+            fields = (t, boundary_imag_limit(a, t), boundary_imag_numeric(a, t, 1e-6))
+            rows.append(",".join(ffmt(f) for f in fields) + "," + label)
+        assert out.splitlines() == rows
+
+    @pytest.mark.parametrize("points", ["0", "-1", "-3"])
+    def test_points_must_be_positive(self, capsys, points):
+        for kind in ("limit", "segments"):
+            code, out, err = run(capsys, "density", "--a", "1,2,3", f"--points={points}", "--kind", kind)
+            assert (code, out) == (EXIT_CONFIG, "")
+            assert "--points must be >= 1" in err
+
+    @pytest.mark.parametrize("entries", ["7,7", "1,2"])
+    @pytest.mark.parametrize("eps", ["0", "-1", "nan"])
+    def test_eps_must_be_positive(self, capsys, entries, eps):
+        code, out, err = run(capsys, "density", "--a", entries, f"--eps={eps}")
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert "--eps must be > 0" in err
+
 
 class TestGap:
     def test_two_entry_gap(self, capsys):
@@ -203,6 +238,12 @@ class TestSweep:
                 fields = (z.real, z.imag, error, remainder(a, z).total_error_estimate)
                 rows.append(",".join(ffmt(f) for f in fields))
         assert out.splitlines() == rows
+
+    @pytest.mark.parametrize("grid", ["0", "-2"])
+    def test_grid_must_be_positive(self, capsys, grid):
+        code, out, err = run(capsys, "sweep", "--a", "1,2", f"--grid={grid}")
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert "--grid must be >= 1" in err
 
     def test_deterministic_bytes(self, capsys):
         _, out1, _ = run(capsys, "sweep", "--a", "1,2", "--grid", "4")
