@@ -186,6 +186,7 @@ class TestBoundaryNumeric:
             assert form(Sequence((1, 3)), np.array([])).shape == (0,)
             assert isinstance(form(Sequence((1, 3)), 1.0), float)
 
+
 class TestDensityMoment:
     def test_constant_sequence_zero(self):
         assert density_moment(Sequence((2, 2, 2)), 0) == 0.0
