@@ -29,7 +29,6 @@ left-to-right position order regardless of the refinement history.
 
 from __future__ import annotations
 
-import functools
 import heapq
 import math
 from dataclasses import dataclass
@@ -206,7 +205,7 @@ def _adaptive(f, lo: float, hi: float, spec: QuadratureSpec):
     return value, error, subdivisions, converged
 
 
-def gauss_jacobi(N: int, alpha: float, beta: float) -> tuple[np.ndarray, np.ndarray]:
+def gauss_jacobi(N: int, alpha, beta) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the N-point Gauss–Jacobi rule on [-1, 1].
 
     The rule integrates ``(1-x)**alpha * (1+x)**beta * p(x)`` exactly for
@@ -218,9 +217,18 @@ def gauss_jacobi(N: int, alpha: float, beta: float) -> tuple[np.ndarray, np.ndar
     inverse Christoffel sum ``1 / sum_{k<N} p_k(x)**2`` with
     ``mu0 = 2**(alpha+beta+1) B(alpha+1, beta+1)``.  The eigenvalues are found
     by Newton's method on the recurrence from their asymptotic positions
-    rather than by a LAPACK eigensolver, which keeps about 1 MB of library
-    code out of memory; the Christoffel sums keep the small end weights
-    accurate to a few dozen ulps.  Nodes ascend.
+    rather than by a LAPACK eigensolver, for two reasons.  The Christoffel
+    sums keep the small end weights accurate to a few dozen ulps, where an
+    eigenvector's first component is accurate only to about ``eps`` in
+    absolute terms.  And the rule is elementwise arithmetic alone, so its
+    bits do not depend on the LAPACK build, nor on the other rules built
+    with it.  Nodes ascend.
+
+    ``alpha`` and ``beta`` may be floats, giving 1-D arrays, or 1-D arrays of
+    one length ``K``, giving ``(K, N)`` arrays whose rows are built in one
+    pass of the recurrence.  A row stops at its own last Newton step, so it
+    is bit for bit the rule of its exponents alone; a float is the
+    length-one case.
 
     Raises:
         ArithmeticError: if Newton's method does not settle on N distinct
@@ -228,61 +236,84 @@ def gauss_jacobi(N: int, alpha: float, beta: float) -> tuple[np.ndarray, np.ndar
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    if not (-1.0 < alpha <= 1.0 and -1.0 < beta <= 1.0):
+    alphas = np.atleast_1d(np.asarray(alpha, dtype=float))
+    betas = np.atleast_1d(np.asarray(beta, dtype=float))
+    if alphas.ndim != 1 or alphas.shape != betas.shape:
+        raise ValueError("Jacobi exponents must be floats or 1-D arrays of one length")
+    if not np.all((-1.0 < alphas) & (alphas <= 1.0) & (-1.0 < betas) & (betas <= 1.0)):
         raise ValueError("Jacobi exponents must lie in (-1, 1]")
-    ab = alpha + beta
+    a, b = alphas[:, None], betas[:, None]
+    ab = a + b
     k = np.arange(N + 1, dtype=float)
     s = 2.0 * k + ab
-    diag = np.empty(N + 1)
-    diag[0] = (beta - alpha) / (ab + 2.0)
-    diag[1:] = (beta * beta - alpha * alpha) / (s[1:] * (s[1:] + 2.0))
+    diag = np.empty((len(alphas), N + 1))
+    diag[:, 1:] = (b * b - a * a) / (s[:, 1:] * (s[:, 1:] + 2.0))
     # off[k-1] couples p_{k-1} and p_k, k = 1..N; the k = 1 entry written out, since
     # the general form is 0/0 at alpha + beta = -1
-    kk, ss = k[2:], s[2:]
-    off = np.empty(N)
-    off[0] = math.sqrt(4.0 * (1.0 + alpha) * (1.0 + beta) / ((ab + 2.0) ** 2 * (ab + 3.0)))
-    off[1:] = np.sqrt(4.0 * kk * (kk + alpha) * (kk + beta) * (kk + ab) / (ss * ss * (ss + 1.0) * (ss - 1.0)))
-    log_mu0 = (
-        (ab + 1.0) * math.log(2.0)
-        + math.lgamma(alpha + 1.0)
-        + math.lgamma(beta + 1.0)
-        - math.lgamma(ab + 2.0)
-    )
-    diag, off = diag.tolist(), off.tolist()
-    p0 = math.exp(-0.5 * log_mu0)
+    kk, ss = k[2:], s[:, 2:]
+    off = np.empty((len(alphas), N))
+    off[:, 1:] = np.sqrt(4.0 * kk * (kk + a) * (kk + b) * (kk + ab) / (ss * ss * (ss + 1.0) * (ss - 1.0)))
+    p0 = np.empty((len(alphas), 1))
+    for row, (al, be) in enumerate(zip(alphas.tolist(), betas.tolist())):
+        al_be = al + be
+        diag[row, 0] = (be - al) / (al_be + 2.0)
+        off[row, 0] = math.sqrt(4.0 * (1.0 + al) * (1.0 + be) / ((al_be + 2.0) ** 2 * (al_be + 3.0)))
+        log_mu0 = (al_be + 1.0) * math.log(2.0) + math.lgamma(al + 1.0) + math.lgamma(be + 1.0) - math.lgamma(al_be + 2.0)
+        p0[row] = math.exp(-0.5 * log_mu0)
+    # the coefficients of step j spread over the nodes, (N + 1, K, N) and
+    # (N, K, N): a ufunc on equal shapes is cheaper than a broadcast one
+    diag = np.repeat(diag.T[:, :, None], N, axis=2)
+    off = np.repeat(off.T[:, :, None], N, axis=2)
 
-    def recurrence(x):
-        """p_N, p_N' and sum_{k<N} p_k**2 at x."""
-        p_prev, p = np.zeros_like(x), np.full_like(x, p0)
+    def recurrence(x, newton):
+        """At the nodes ``x``: ``p_N / p_N'`` for a Newton pass, else
+        ``sum_{k<N} p_k**2``."""
+        p_prev, p = np.zeros_like(x), np.empty_like(x)
+        p[...] = p0
         d_prev, d = np.zeros_like(x), np.zeros_like(x)
         christoffel = np.zeros_like(x)
         for j in range(N):
-            christoffel += p * p
+            if not newton:
+                christoffel += p * p
             x_j = x - diag[j]
             back = off[j - 1] if j else 0.0
             p_prev, p = p, (x_j * p - back * p_prev) / off[j]
-            d_prev, d = d, (p_prev + x_j * d - back * d_prev) / off[j]
-        return p, d, christoffel
+            if newton:
+                d_prev, d = d, (p_prev + x_j * d - back * d_prev) / off[j]
+        return p / d if newton else christoffel
 
     # zeros of P_N^(alpha, beta)(cos theta) sit near these angles
-    theta = math.pi * (np.arange(N, 0, -1) + 0.5 * alpha - 0.25) / (N + 0.5 * (ab + 1.0))
+    theta = math.pi * (np.arange(N, 0, -1) + 0.5 * a - 0.25) / (N + 0.5 * (ab + 1.0))
     x = np.cos(theta)
+    # a row stops once its own step is below the threshold; the passes go on
+    # over every row, since the cost is per ufunc call, not per node
+    steps = np.full(len(alphas), np.inf)
+    active = np.ones(len(alphas), dtype=bool)
     for _ in range(12):
-        p_n, dp_n, _ = recurrence(x)
-        step = p_n / dp_n
-        x = x - step
+        step = recurrence(x, True)
+        x = np.where(active[:, None], x - step, x)
+        steps = np.where(active, np.max(np.abs(step), axis=1), steps)
         # convergence is quadratic: after a step this small, x is exact
-        if np.max(np.abs(step)) < 1e-12:
+        active &= ~(steps < 1e-12)
+        if not active.any():
             break
-    gaps = np.diff(np.concatenate(([-1.0], x, [1.0])))
-    if not (np.max(np.abs(step)) < 1e-12 and np.min(gaps) > 1e3 * np.max(np.abs(step))):
-        raise ArithmeticError(f"Gauss-Jacobi nodes did not converge for N={N}, alpha={alpha}, beta={beta}")
-    _, _, christoffel = recurrence(x)
-    return x, 1.0 / christoffel
+    gaps = np.diff(x, axis=1, prepend=-1.0, append=1.0)
+    bad = ~((steps < 1e-12) & (np.min(gaps, axis=1) > 1e3 * steps))
+    if bad.any():
+        row = int(np.argmax(bad))
+        raise ArithmeticError(
+            f"Gauss-Jacobi nodes did not converge for N={N}, alpha={alphas[row]}, beta={betas[row]}"
+        )
+    w = 1.0 / recurrence(x, False)
+    return (x, w) if np.ndim(alpha) or np.ndim(beta) else (x[0], w[0])
 
 
 # nodes of the fixed segment rule: rho**(-2N) reaches 1e-10 at rho = 1.2
 JACOBI_NODES = 64
+# about 1 KB a rule: room for three keys per n over a few hundred n
+_RULES_MAX = 1024
+# the built rules by (m_lo, m_hi, n), in lowest terms and as first asked for
+_RULES: dict[tuple[int, int, int], tuple[np.ndarray, np.ndarray]] = {}
 
 
 def segment_rule(m_lo: int, m_hi: int, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -291,19 +322,44 @@ def segment_rule(m_lo: int, m_hi: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     (0 where the panel does not touch an entry): :func:`gauss_jacobi` with
     ``alpha = m_hi/n`` and ``beta = m_lo/n``.  Keyed by the integers in
     lowest terms, so ``(0, 0, n)``, Gauss–Legendre, is built once for every
-    ``n``; rules are built on first use, and the arrays are read-only.
+    ``n``; rules are built on first use, with the end-panel rules of the
+    same segment (:func:`_build_rules`), and the arrays are read-only.
     """
+    try:
+        return _RULES[m_lo, m_hi, n]
+    except KeyError:
+        return _build_rules(m_lo, m_hi, n)
+
+
+def _lowest_terms(m_lo: int, m_hi: int, n: int) -> tuple[int, int, int]:
     g = math.gcd(m_lo, m_hi, n)
-    return _jacobi_rule(m_lo // g, m_hi // g, n // g)
+    return m_lo // g, m_hi // g, n // g
 
 
-# about 1 KB a rule: room for three keys per n over a few hundred n
-@functools.lru_cache(maxsize=1024)
-def _jacobi_rule(m_lo: int, m_hi: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = gauss_jacobi(JACOBI_NODES, m_hi / n, m_lo / n)
-    x.setflags(write=False)
-    w.setflags(write=False)
-    return x, w
+def _build_rules(m_lo: int, m_hi: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`segment_rule` on a miss.  A segment ``(m_lo, m_hi, n)`` is
+    followed by the panels its plan may lay at either end, ``(m_lo, 0, n)``
+    and ``(0, m_hi, n)``, so a rule not kept in lowest terms is built
+    together with those of the two not kept either, in one
+    :func:`gauss_jacobi` call.  The whole cache is dropped when it reaches
+    ``_RULES_MAX`` entries."""
+    if len(_RULES) >= _RULES_MAX:
+        _RULES.clear()
+    key = _lowest_terms(m_lo, m_hi, n)
+    if key not in _RULES:
+        keys = [key]
+        for end in (_lowest_terms(m_lo, 0, n), _lowest_terms(0, m_hi, n)):
+            if end not in _RULES and end not in keys:
+                keys.append(end)
+        x, w = gauss_jacobi(
+            JACOBI_NODES, np.array([hi / m for _, hi, m in keys]), np.array([lo / m for lo, _, m in keys])
+        )
+        # the rows are views and inherit the flag
+        x.setflags(write=False)
+        w.setflags(write=False)
+        _RULES.update(zip(keys, zip(x, w)))
+    rule = _RULES[m_lo, m_hi, n] = _RULES[key]
+    return rule
 
 
 def _ellipse_rho(s):

@@ -137,10 +137,14 @@ def _loaded_cut_distance(values: tuple[float, ...], z: complex) -> float:
 
 
 def _neighbours(values: tuple[float, ...], seg: SegmentDensity) -> tuple[float, float]:
-    """The entries next to the segment; -inf or inf where there is none."""
+    """The entries next to the segment, as floats; -inf or inf where there is
+    none."""
     below = seg.index - seg.m_lo - 1
     above = seg.index + seg.m_hi
-    return (values[below] if below >= 0 else -math.inf, values[above] if above < len(values) else math.inf)
+    return (
+        float(values[below]) if below >= 0 else -math.inf,
+        float(values[above]) if above < len(values) else math.inf,
+    )
 
 
 class _Block(NamedTuple):
@@ -159,9 +163,10 @@ class _Block(NamedTuple):
     width: np.ndarray
 
 
-def _panel_weights(values: tuple[float, ...], panels: list[_Panel]) -> _Block:
+def _panel_weights(values: np.ndarray, panels: list[_Panel]) -> _Block:
     """The z-free part of the rule on a block of panels, for a caller that
-    ignores overflow and invalid operations.
+    ignores overflow and invalid operations; ``values`` is the 1-D array of
+    the sorted entries.
 
     On a panel with ``t = anchor + u``, ``u`` running from ``lo`` to ``hi``
     with half-width ``h``, the density is ``h**(p+q) * (1+x)**p * (1-x)**q *
@@ -174,36 +179,48 @@ def _panel_weights(values: tuple[float, ...], panels: list[_Panel]) -> _Block:
     (-h*(1-x))`` on the upper one, which are ``base`` and ``off``.
     """
     n = len(values)
-    v = np.asarray(values)[:, None, None]
+    v = values[:, None, None]
     rules = [segment_rule(p.m_lo, p.m_hi, n) for p in panels]
     x = np.array([r[0] for r in rules])
     w = np.array([r[1] for r in rules])
     rows = []
     for p in panels:
         prev, after = _neighbours(values, p.seg)
-        # the entries at an end the panel touches are in the Jacobi
-        # weight (nan matches no entry); the ellipse then passes
-        # through the next entry instead of that end
+        # the entries at an end the panel touches are in the Jacobi weight;
+        # the ellipse then passes through the next entry instead of that end
         below = (prev if p.m_lo else p.seg.lo) - p.anchor
         above = (after if p.m_hi else p.seg.hi) - p.anchor
         rows.append((
             p.anchor, p.lo, p.hi, p.seg.lo,
-            p.seg.lo if p.m_lo else math.nan, p.seg.hi if p.m_hi else math.nan,
             # |t - lo| + |t - hi| of the nearer of the two
             min(abs(below - p.lo) + abs(below - p.hi), abs(above - p.lo) + abs(above - p.hi)),
             1.0 + (p.m_lo + p.m_hi) / n,
         ))
-    anchor, lo, hi, seg_lo, in_lo, in_hi, near, power = np.array(rows).T[:, :, None]
+    anchor, lo, hi, seg_lo, near, power = np.array(rows).T[:, :, None]
     width = hi - lo
     h = 0.5 * width
     from_lo = h * (1.0 + x)
     from_hi = h * (1.0 - x)
-    # |a_k - t| for every other entry, built in the one block-sized array
+    # |a_k - t| for every other entry, built in the one block-sized array.
+    # The entries are sorted, so rows [0, first) lie below every panel's
+    # segment and rows [last, n) above it; only the rows between, none when
+    # the panels share a segment, need a select.
+    index = [p.seg.index for p in panels]
+    first, last = min(index), max(index)
     offset = v - anchor
     under = v <= seg_lo
-    dist = np.where(under, from_lo, from_hi)
-    dist += np.where(under, lo - offset, offset - hi)
-    np.copyto(dist, 1.0, where=(v == in_lo) | (v == in_hi))
+    # the entries' offsets from the ends first: a broadcast fill, then adds
+    # of equal inner shapes
+    dist = np.empty((n, *x.shape))
+    dist[...] = np.where(under, lo - offset, offset - hi)
+    dist[:first] += from_lo
+    if first < last:
+        dist[first:last] += np.where(under[first:last], from_lo, from_hi)
+    dist[last:] += from_hi
+    # the entries in the Jacobi weight, rows [index - m_lo, index + m_hi)
+    for column, (i, p) in enumerate(zip(index, panels)):
+        if p.m_lo or p.m_hi:
+            dist[i - p.m_lo : i + p.m_hi, column] = 1.0
     log_s = np.log(dist, out=dist).sum(axis=0) / n
     weights = w * h**power * np.exp(log_s)
     lower = x <= 0.0
@@ -216,11 +233,14 @@ def _blocks(values: tuple[float, ...], panels: list[_Panel]) -> list[_Block]:
     """The rule's blocks for the panels: :func:`_panel_weights` built on runs
     of panels whose ``n x panels x nodes`` temporary stays at about
     ``_BLOCK`` elements, joined into blocks of up to ``_BLOCK`` nodes, since
-    the kernel's temporaries do not grow with ``n``."""
+    the kernel's temporaries do not grow with ``n``.  For a caller that
+    ignores overflow and invalid operations, as ``_panel_weights``, unless
+    every panel is a whole segment: there every distance is positive and
+    below 2 on the scaled entries, so underflow alone can occur."""
     per_build = max(1, _BLOCK // (len(values) * JACOBI_NODES))
     per_block = max(1, _BLOCK // (per_build * JACOBI_NODES))
-    with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
-        built = [_panel_weights(values, panels[i : i + per_build]) for i in range(0, len(panels), per_build)]
+    array = np.array(values)
+    built = [_panel_weights(array, panels[i : i + per_build]) for i in range(0, len(panels), per_build)]
     return [
         run[0] if len(run) == 1 else _Block(*map(np.concatenate, zip(*run)))
         for run in (built[i : i + per_block] for i in range(0, len(built), per_block))
@@ -246,7 +266,7 @@ def _whole_segments(values: tuple[float, ...]) -> tuple[list[SegmentDensity], li
     blocks = _blocks(values, [_Panel(seg, 0.0, seg.lo, seg.hi, seg.m_lo, seg.m_hi) for seg in segs])
     for block in blocks:
         for array in block:
-            array.flags.writeable = False
+            array.setflags(write=False)
     _LAST[0] = (key, (segs, blocks))
     return segs, blocks
 
@@ -371,8 +391,8 @@ def _segment_integrals(values, segs, whole, points: np.ndarray, order: int, abs_
                 continue
             plan = _plan(values, seg, c if order < 0 else None)
             if plan is not None:
-                panel_vals, panel_ests = _rule(_blocks(values, plan), np.array([c]), order)
-                with np.errstate(invalid="ignore", over="ignore"):
+                with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
+                    panel_vals, panel_ests = _rule(_blocks(values, plan), np.array([c]), order)
                     vals[i], ests[i], counts[i] = panel_vals.sum().item(), float(panel_ests.sum()), len(plan)
             if plan is None or not _admitted(vals[i], ests[i], abs_tol):
                 failed.append(seg.index)

@@ -228,16 +228,21 @@ def _suite_permutation_invariance(rng, cases, ctx, res: SuiteResult):
             res.fail(a.values, "means invariant under input reordering", shuffled)
 
 
-def _sample_t_away_from_junctions(rng, a: Sequence, count: int):
+def _sample_t_away_from_junctions(rng, a: Sequence, count: int) -> list[float]:
+    """Up to ``count`` values of ``t``, uniform on ``[1e-2, max(a) - min(a) +
+    1]`` and at least 1e-2 from every entry of ``a - min(a)``, out of at most
+    ``40 * count`` draws.  The draws come in blocks of the values still
+    needed, so the count is reached only at the end of a block and the
+    generator is left as one draw at a time would leave it."""
     shifted = a.shifted()
     span = shifted[-1] + 1.0
-    out = []
-    for _ in range(40 * count):
-        t = float(rng.uniform(1e-2, span))
-        if all(abs(t - s) >= 1e-2 for s in shifted):
-            out.append(t)
-            if len(out) == count:
-                break
+    out: list[float] = []
+    drawn = 0
+    while len(out) < count and drawn < 40 * count:
+        block = rng.uniform(1e-2, span, min(count - len(out), 40 * count - drawn))
+        drawn += block.size
+        away = np.all(np.abs(block[:, None] - np.array(shifted)) >= 1e-2, axis=1)
+        out += block[away].tolist()
     return out
 
 

@@ -15,7 +15,7 @@ from gmeanrep.boundary import (
 )
 from gmeanrep.means import Sequence, arithmetic_mean
 from gmeanrep.representation import density_moment
-from gmeanrep.verify import random_sequence
+from gmeanrep.verify import _sample_t_away_from_junctions, random_sequence
 
 from conftest import seeded_suite
 
@@ -121,6 +121,33 @@ class TestBoundaryLimit:
         res = seeded_suite(suite, 36, 10)
         assert not res.passed
         assert {f["contract"] for f in res.failures} == {contract}
+
+    def test_junction_free_draws_match_one_at_a_time(self):
+        # the block draws of the boundary suites give the values and leave the
+        # generator as the one-draw-at-a-time rejection loop does
+        def one_at_a_time(rng, a, count):
+            shifted = a.shifted()
+            out = []
+            for _ in range(40 * count):
+                t = float(rng.uniform(1e-2, shifted[-1] + 1.0))
+                if all(abs(t - s) >= 1e-2 for s in shifted):
+                    out.append(t)
+                    if len(out) == count:
+                        break
+            return out
+
+        rng = np.random.default_rng(37)
+        seqs = [random_sequence(rng) for _ in range(20)]
+        # entries 0.015 apart over a span of 80: about one draw in 80 lands away
+        # from them, so the cap of 40 * count draws is met
+        seqs.append(Sequence(np.arange(1.0, 81.0, 0.015)))
+        for seed, a in enumerate(seqs):
+            for count in (0, 1, 10, 50):
+                ref, got = np.random.default_rng(seed), np.random.default_rng(seed)
+                expected = one_at_a_time(ref, a, count)
+                assert repr(_sample_t_away_from_junctions(got, a, count)) == repr(expected), (seed, count)
+                assert got.bit_generator.state == ref.bit_generator.state, (seed, count)
+        assert len(expected) < 50
 
     def test_scaling_covariance(self):
         rng = np.random.default_rng(33)

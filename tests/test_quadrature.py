@@ -7,7 +7,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from gmeanrep import verify
+from gmeanrep import quadrature, representation, verify
+from gmeanrep.means import Sequence
 from gmeanrep.quadrature import (
     JACOBI_NODES,
     QuadratureResult,
@@ -103,6 +104,83 @@ class TestGaussJacobi:
         assert np.array_equal(x, ref_x) and np.array_equal(w, ref_w)
         with pytest.raises(ValueError):
             x[0] = 0.0
+
+    def test_rows_are_single_builds(self):
+        # a (K, N) build is K single builds, bit for bit; a float is K = 1
+        pairs = [(2 / 3, 1 / 3), (0.0, 1 / 3), (2 / 3, 0.0), (1 / 300, 1 / 300)]
+        alphas, betas = np.array(pairs).T
+        x, w = gauss_jacobi(JACOBI_NODES, alphas, betas)
+        assert x.shape == w.shape == (len(pairs), JACOBI_NODES)
+        for row, (alpha, beta) in enumerate(pairs):
+            ref_x, ref_w = gauss_jacobi(JACOBI_NODES, alpha, beta)
+            assert ref_x.shape == (JACOBI_NODES,)
+            assert x[row].tobytes() == ref_x.tobytes() and w[row].tobytes() == ref_w.tobytes(), row
+            one_x, one_w = gauss_jacobi(JACOBI_NODES, alphas[row : row + 1], betas[row : row + 1])
+            assert one_x.shape == (1, JACOBI_NODES)
+            assert one_x[0].tobytes() == ref_x.tobytes() and one_w[0].tobytes() == ref_w.tobytes(), row
+
+    def test_invalid_exponents(self):
+        with pytest.raises(ValueError):
+            gauss_jacobi(JACOBI_NODES, np.array([0.5, 0.5]), np.array([0.5]))
+        with pytest.raises(ValueError):
+            gauss_jacobi(JACOBI_NODES, np.array([0.5, 1.5]), np.array([0.5, 0.5]))
+        with pytest.raises(ValueError):
+            gauss_jacobi(JACOBI_NODES, np.ones((1, 1)), np.ones((1, 1)))
+
+    @pytest.mark.parametrize("key", [(1, 2, 3), (2, 4, 6), (1, 1, 2), (1, 1, 300), (0, 1, 5), (2, 0, 4), (0, 0, 1)])
+    def test_rule_family_is_single_builds(self, monkeypatch, key):
+        # a miss builds the segment's rule and its two end-panel rules in one
+        # call, each bit for bit its own single build
+        single = gauss_jacobi
+        calls = []
+
+        def counting(N, alpha, beta):
+            calls.append(np.size(alpha))
+            return single(N, alpha, beta)
+
+        monkeypatch.setattr(quadrature, "_RULES", {})
+        monkeypatch.setattr(quadrature, "gauss_jacobi", counting)
+        m_lo, m_hi, n = key
+        family = [(m_lo, m_hi, n), (m_lo, 0, n), (0, m_hi, n)]
+        for k in family:
+            x, w = segment_rule(*k)
+            ref_x, ref_w = single(JACOBI_NODES, k[1] / k[2], k[0] / k[2])
+            assert x.tobytes() == ref_x.tobytes() and w.tobytes() == ref_w.tobytes(), k
+        # one row per rule in lowest terms: (2, 0, 4) and (0, 0, 4) take two
+        assert calls == [len({quadrature._lowest_terms(*k) for k in family})]
+
+    def test_one_build_per_new_n(self, monkeypatch):
+        # the rules a new n needs, for its whole segments and the panels
+        # planned at their ends, come from one gauss_jacobi call
+        single = gauss_jacobi
+        calls = []
+
+        def counting(N, alpha, beta):
+            calls.append(np.size(alpha))
+            return single(N, alpha, beta)
+
+        monkeypatch.setattr(quadrature, "_RULES", {})
+        monkeypatch.setattr(quadrature, "gauss_jacobi", counting)
+        segment_rule(0, 0, 1)  # Gauss-Legendre serves every n
+        rng = np.random.default_rng(38)
+        for n in (7, 40):
+            calls.clear()
+            a = Sequence(10.0 ** rng.uniform(-1.0, 1.0, n))
+            lo, hi = a.values[1], a.values[2]
+            # poles over a segment, near its ends and at its middle
+            zs = [complex(-(lo + f * (hi - lo)), 1e-6) for f in (1e-3, 0.5, 1 - 1e-3)]
+            rems = representation.remainder(a, np.array([0j, *zs]))
+            representation.density_moment(a, 2)
+            assert any(k > 1 for rem in rems for k in rem.panels)
+            assert calls == [3], n
+
+    def test_rule_cache_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "_RULES", {})
+        monkeypatch.setattr(quadrature, "_RULES_MAX", 8)
+        for n in range(2, 40):
+            x, _ = segment_rule(1, 1, n)
+            assert segment_rule(1, 1, n)[0] is x
+            assert len(quadrature._RULES) <= 8 + 4
 
     def test_bernstein_rho(self):
         # on the interval the ellipse degenerates; off it rho = s + sqrt(s^2 - 1)

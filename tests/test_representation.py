@@ -324,6 +324,94 @@ class TestMemo:
         assert len(representation._LAST) == 1
 
 
+def _where_weights(values, panels):
+    """``weights``, ``base`` and ``off`` of ``_panel_weights`` by full-size
+    selects over every entry and a masked copy for the entries in the Jacobi
+    weight: the reference for the row ranges that replace them."""
+    n = len(values)
+    v = np.asarray(values)[:, None, None]
+    rules = [quadrature.segment_rule(p.m_lo, p.m_hi, n) for p in panels]
+    x = np.array([r[0] for r in rules])
+    w = np.array([r[1] for r in rules])
+    columns = np.array([
+        (p.anchor, p.lo, p.hi, p.seg.lo, p.seg.lo if p.m_lo else math.nan, p.seg.hi if p.m_hi else math.nan, 1.0 + (p.m_lo + p.m_hi) / n)
+        for p in panels
+    ])
+    anchor, lo, hi, seg_lo, in_lo, in_hi, power = columns.T[:, :, None]
+    h = 0.5 * (hi - lo)
+    from_lo = h * (1.0 + x)
+    from_hi = h * (1.0 - x)
+    offset = v - anchor
+    under = v <= seg_lo
+    with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
+        dist = np.where(under, from_lo, from_hi)
+        dist += np.where(under, lo - offset, offset - hi)
+        np.copyto(dist, 1.0, where=(v == in_lo) | (v == in_hi))
+        weights = w * h**power * np.exp(np.log(dist).sum(axis=0) / n)
+    lower = x <= 0.0
+    return weights, np.where(lower, lo, hi), np.where(lower, from_lo, -from_hi)
+
+
+class TestPanelWeights:
+    """The z-free weights built by row ranges are bit for bit the full-size
+    selects they replace."""
+
+    CASES = [
+        (1.0, 2.0),
+        # a duplicate at the first and at the last segment
+        (1.0, 1.0, 2.0, 3.0, 3.0),
+        (0.5, 0.5, 0.5, 1.0, 2.0, 2.5, 2.5),
+        # constant runs
+        (2.0, 2.0, 2.0, 2.0, 5.0),
+        (1.0, 3.0, 3.0, 3.0, 3.0),
+        (1.0, 2.0, 2.0, 2.0, 3.0, 4.0, 4.0, 5.0),
+        (0.5, 1.0, 1.0 + 1e-6, 3.0, 3.0 + 1e-9, 4.0),
+    ]
+
+    @staticmethod
+    def assert_same(values, panels):
+        blocks = representation._blocks(values, panels)
+        ref = _where_weights(values, panels)
+        for name, expected in zip(("weights", "base", "off"), ref):
+            got = np.concatenate([getattr(block, name) for block in blocks])
+            assert got.tobytes() == expected.tobytes(), (values, name)
+
+    @staticmethod
+    def whole(values):
+        return [representation._Panel(seg, 0.0, seg.lo, seg.hi, seg.m_lo, seg.m_hi) for seg in segments(Sequence(values))]
+
+    def test_whole_segments(self):
+        # the panels of one build carry different end splits
+        for values in self.CASES:
+            self.assert_same(values, self.whole(values))
+
+    def test_planned_panels(self):
+        # panels anchored at the ends and at the pole projection x0, one
+        # segment's plan at a time and all segments' plans in one build
+        for values in self.CASES:
+            everything = []
+            for seg in segments(Sequence(values)):
+                for z in (None, complex(-0.5 * (seg.lo + seg.hi), 1e-9), complex(-seg.lo - 1e-4 * (seg.hi - seg.lo), -1e-7)):
+                    plan = representation._plan(values, seg, z)
+                    if z is not None:
+                        assert any(p.anchor == -z.real for p in plan) or -z.real == seg.lo
+                    self.assert_same(values, plan)
+                    everything += plan
+            self.assert_same(values, everything)
+
+    def test_several_builds(self, monkeypatch):
+        rng = np.random.default_rng(66)
+        long = tuple(sorted((10.0 ** rng.uniform(-1.0, 1.0, 40)).tolist()))
+        # n = 40 takes two builds at the default _BLOCK, every case one build
+        # per panel at the small one
+        self.assert_same(long, self.whole(long))
+        monkeypatch.setattr(representation, "_BLOCK", 3 * quadrature.JACOBI_NODES)
+        for values in self.CASES + [long]:
+            self.assert_same(values, self.whole(values))
+            seg = segments(Sequence(values))[-1]
+            self.assert_same(values, representation._plan(values, seg, complex(-0.5 * (seg.lo + seg.hi), 1e-9)))
+
+
 class TestFixedRule:
     def test_bound_covers_admitted_pairs(self):
         # every (segment, z) pair the a-priori bound admits is within its
