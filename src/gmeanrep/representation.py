@@ -27,14 +27,22 @@ entries from 1e-300 to 1e308 neither under- nor overflow.
 ``remainder`` and ``gmean_via_representation`` take a complex scalar or a
 1-D array of points.  The rule weights do not depend on ``z``: the
 whole-segment weights of the last sequence seen are kept, read-only, until a
-call on another sequence (or another ``_BLOCK``) replaces them
-(:func:`_whole_segments`), so an array call, a run of scalar calls and
+call on another sequence (or another ``_BLOCK`` or ``_SPEC``) replaces them
+(:func:`_kept`), so an array call, a run of scalar calls and
 ``density_moment`` on one sequence build them once, and each point forms only
 ``1/(t_j + z)`` and the pole's ``rho``; the moment is the same loop at the
-single point ``c = 0`` (:func:`_rule`).  Admission, the plan and the planned
-panels stay per (segment, ``z``), and planned panels are built per call.  The
-scalar call is the length-one case of the same code, and a point's result is
-bit for bit the same in any batch and whether its weights were kept or built.
+single point ``c = 0`` (:func:`_rule`).  Admission stays per (segment,
+``z``).  Where the whole-segment rule misses, a close neighbouring entry,
+not the pole, is most often what narrows the ellipse, and the plan is then
+the pole-free one.  So each segment's pole-free plan, ``_plan`` with
+``z=None``, and its blocks are kept beside the whole-segment blocks and
+dropped with them, made the first time a point needs them, and used by
+every point whose pole neither cuts the segment nor binds the plan and by
+``density_moment`` (:func:`_planned`).  Any other plan and its panels are
+built for the call alone, as are blocks that would take the kept plans
+beyond ``_KEPT_NODES`` nodes: at most 25 bytes a node, 1.6 MB.  The scalar
+call is the length-one case of the same code, and a point's result is bit
+for bit the same in any batch and whether its weights were kept or built.
 
 ``z = 0`` needs no special handling: the integration variable stays >= min(a)
 > 0, so ``1/(t+z)`` is bounded for every ``re(z) > -min(a)``.  Within 1e-6 of
@@ -50,7 +58,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -81,11 +89,19 @@ _BOUND_C = 64.0 / 15.0
 # a planned panel's bound aims at this share of rel_tol, so that the summed
 # estimates of a segment still pass when its panels partly cancel
 _PLAN_MARGIN = 0.1
+# a planned panel is admitted when the Bernstein ellipse through its nearest
+# singularity has at least this semi-major axis, in units of its half-width:
+# the ellipse whose bound meets _PLAN_MARGIN times _SPEC.rel_tol
+_RHO_PLAN = (_BOUND_C / max(_PLAN_MARGIN * _SPEC.rel_tol, _ROUNDOFF)) ** (0.5 / JACOBI_NODES)
+_S_NEED = 0.5 * (_RHO_PLAN + 1.0 / _RHO_PLAN)
 # a panel that misses the plan's rho is cut at this fraction of its length
 # from the end nearer its anchor
 _GRADING = 1.0 / 30.0
 # elements in the largest temporary of the rule: 512 KB of float64
 _BLOCK = 1 << 16
+# nodes of the pole-free plans kept for one sequence, all plans together;
+# 150 pairs of entries 1e-15 apart would keep 2.6 times as many
+_KEPT_NODES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -247,28 +263,65 @@ def _blocks(values: tuple[float, ...], panels: list[_Panel]) -> list[_Block]:
     ]
 
 
-# the segments and whole-segment blocks of the one sequence seen last, as
-# (key, (segments, blocks)); read and replaced whole, so it never holds two
+def _freeze(blocks: list[_Block]) -> list[_Block]:
+    """The blocks, with every array set read-only."""
+    for block in blocks:
+        for array in block:
+            array.setflags(write=False)
+    return blocks
+
+
+class _Plan(NamedTuple):
+    """A segment's pole-free plan, ``_plan(values, seg)`` (``None`` beyond
+    the panel budget), and its read-only blocks: ``None`` until a pole-free
+    pair uses them, and while they would take the kept plans beyond
+    ``_KEPT_NODES``."""
+
+    panels: list[_Panel] | None
+    blocks: list[_Block] | None
+
+
+@dataclass(frozen=True)
+class _Kept:
+    """The z-free rule kept for the one sequence seen last: its segments,
+    the read-only blocks of their whole-segment rule and, by segment index,
+    the :class:`_Plan` of each segment a call has planned without a binding
+    pole."""
+
+    segs: list[SegmentDensity]
+    blocks: list[_Block]
+    plans: dict[int, _Plan] = field(default_factory=dict)
+
+    def __iter__(self):
+        # unpacks as the whole-segment rule, ``segs, blocks``
+        return iter((self.segs, self.blocks))
+
+    def plan_nodes(self) -> int:
+        """Nodes of the plans whose blocks are kept."""
+        return JACOBI_NODES * sum(len(plan.panels) for plan in self.plans.values() if plan.blocks is not None)
+
+
+# (key, _Kept) of the one sequence seen last; read and replaced whole, so it
+# never holds two, and a sequence's plans go with its whole-segment blocks
 _LAST: list = [None]
 
 
-def _whole_segments(values: tuple[float, ...]) -> tuple[list[SegmentDensity], list[_Block]]:
-    """The segments of the (scaled) entries and the read-only blocks of
-    their whole-segment rule, kept for the last sequence seen: repeated calls
-    on one sequence, scalar or array, ``remainder`` or ``density_moment``,
-    build them once.  The key carries the block layout with the entries."""
-    key = (values, _BLOCK)
+def _kept(values: tuple[float, ...]) -> _Kept:
+    """The kept rule of the (scaled) entries, built for the last sequence
+    seen: repeated calls on one sequence, scalar or array, ``remainder`` or
+    ``density_moment``, build its whole-segment blocks once and each
+    pole-free plan at most once.  The key carries the block layout and the
+    accuracy target with the entries."""
+    key = (values, _BLOCK, _SPEC)
     last = _LAST[0]
     if last is not None and last[0] == key:
         return last[1]
     _LAST[0] = None  # drop the old entry before building the new one
     segs = _segments_raw(values)
     blocks = _blocks(values, [_Panel(seg, 0.0, seg.lo, seg.hi, seg.m_lo, seg.m_hi) for seg in segs])
-    for block in blocks:
-        for array in block:
-            array.setflags(write=False)
-    _LAST[0] = (key, (segs, blocks))
-    return segs, blocks
+    kept = _Kept(segs, _freeze(blocks))
+    _LAST[0] = (key, kept)
+    return kept
 
 
 def _bound(s):
@@ -316,6 +369,20 @@ def _rule(blocks: list[_Block], points: np.ndarray, order: int) -> tuple[np.ndar
     return vals, ests
 
 
+def _too_close(seg: SegmentDensity, z: complex) -> bool:
+    """Whether the pole ``-z`` lies within ``_TINY`` of the segment."""
+    x0 = -z.real
+    nearest = min(max(x0, seg.lo), seg.hi)
+    return math.hypot(x0 - nearest, z.imag) < _TINY
+
+
+def _wide_enough(points: tuple, lo: float, hi: float) -> bool:
+    """The plan's admission test: the smallest Bernstein ellipse of the
+    panel ``[lo, hi]`` through ``points`` has semi-major axis ``_S_NEED``
+    or more."""
+    return min(abs(p - lo) + abs(p - hi) for p in points) >= _S_NEED * (hi - lo)
+
+
 def _plan(values: tuple[float, ...], seg: SegmentDensity, z: complex | None = None) -> list[_Panel] | None:
     """Panels for a segment the whole-segment rule does not admit, chosen
     from its singularities alone, or ``None`` when more than
@@ -333,16 +400,11 @@ def _plan(values: tuple[float, ...], seg: SegmentDensity, z: complex | None = No
     checked again.  Offsets stay relative to the anchor (``x0 + z`` is
     exactly ``i*im(z)``).
     """
-    if z is not None:
-        x0 = -z.real
-        nearest = min(max(x0, seg.lo), seg.hi)
-        if math.hypot(x0 - nearest, z.imag) < _TINY:
-            return None
-    rho = (_BOUND_C / max(_PLAN_MARGIN * _SPEC.rel_tol, _ROUNDOFF)) ** (0.5 / JACOBI_NODES)
-    # semi-major axis of that ellipse, in units of the panel's half-width
-    s_need = 0.5 * (rho + 1.0 / rho)
+    if z is not None and _too_close(seg, z):
+        return None
     prev, after = _neighbours(values, seg)
-    if z is not None and seg.lo < x0 < seg.hi:
+    if z is not None and seg.lo < -z.real < seg.hi:
+        x0 = -z.real
         left, right = 0.5 * (x0 - seg.lo), 0.5 * (seg.hi - x0)
         halves = ((seg.lo, left), (x0, -left), (x0, right), (seg.hi, -right))
     else:
@@ -362,8 +424,7 @@ def _plan(values: tuple[float, ...], seg: SegmentDensity, z: complex | None = No
             m_lo = seg.m_lo if lo == ends[0] else 0
             m_hi = seg.m_hi if hi == ends[1] else 0
             points = (*poles, neighbours[0] if m_lo else ends[0], neighbours[1] if m_hi else ends[1])
-            width = hi - lo
-            if min(abs(p - lo) + abs(p - hi) for p in points) >= s_need * width:
+            if _wide_enough(points, lo, hi):
                 panels.append(_Panel(seg, anchor, lo, hi, m_lo, m_hi))
             else:
                 cut = a + (b - a) * _GRADING
@@ -376,23 +437,72 @@ def _admitted(val, est: float, abs_tol: float) -> bool:
     return est <= max(abs_tol, _SPEC.rel_tol * abs(val)) < math.inf
 
 
-def _segment_integrals(values, segs, whole, points: np.ndarray, order: int, abs_tol: float):
+def _built(values: tuple[float, ...], panels: list[_Panel] | None):
+    """``(panels, blocks)`` with the blocks built for this call alone."""
+    return panels, None if panels is None else _blocks(values, panels)
+
+
+def _pole_cuts(seg: SegmentDensity, z: complex) -> bool:
+    """Whether the pole ``-z`` makes :func:`_plan` start another tree:
+    ``x0 = -re(z)`` lies inside the segment, or the pole within ``_TINY``
+    of it."""
+    return seg.lo < -z.real < seg.hi or _too_close(seg, z)
+
+
+def _pole_binds(panels: list[_Panel], z: complex) -> bool:
+    """Whether the pole ``-z`` fails :func:`_wide_enough` on some panel of a
+    pole-free plan.  Where it neither binds nor cuts the segment, ``_plan``
+    with the pole walks exactly the pole-free tree: each panel's test takes
+    the smallest sum over the same points and the pole, so every pole-free
+    split happens and the pole adds none (with too many panels both plans
+    are ``None``)."""
+    return not all(_wide_enough((-z - p.anchor,), p.lo, p.hi) for p in panels)
+
+
+def _planned(values: tuple[float, ...], kept: _Kept, seg: SegmentDensity, z: complex | None):
+    """``_plan(values, seg, z)`` and its blocks, for a caller that ignores
+    overflow and invalid operations: the kept pole-free plan and its blocks
+    unless the pole ``-z`` cuts the segment or binds the plan (``z=None``
+    has no pole), else planned and built for this call.  The pole-free plan
+    is made the first time a pole that does not cut the segment needs it,
+    and its blocks the first time one that does not bind it does; blocks
+    that would take the kept plans beyond ``_KEPT_NODES`` are built per
+    call."""
+    if z is not None and _pole_cuts(seg, z):
+        return _built(values, _plan(values, seg, z))
+    plan = kept.plans.get(seg.index)
+    if plan is None:
+        plan = kept.plans[seg.index] = _Plan(_plan(values, seg), None)
+    if plan.panels is None:
+        return plan
+    if z is not None and _pole_binds(plan.panels, z):
+        return _built(values, _plan(values, seg, z))
+    if plan.blocks is None:
+        blocks = _blocks(values, plan.panels)
+        if kept.plan_nodes() + len(plan.panels) * JACOBI_NODES > _KEPT_NODES:
+            return plan.panels, blocks
+        plan = kept.plans[seg.index] = _Plan(plan.panels, _freeze(blocks))
+    return plan
+
+
+def _segment_integrals(values, kept: _Kept, points: np.ndarray, order: int, abs_tol: float):
     """Per point ``c`` of ``points``, :func:`_rule`'s integrals over each
-    segment of ``segs`` as ``(vals, ests, counts, failed)``: the
-    whole-segment rule on the blocks ``whole``, taken at every point in one
-    call, where it is admitted, else the sums over :func:`_plan`'s panels;
-    ``counts`` holds the panel counts and ``failed`` the indices of the
-    segments that fail."""
-    whole_vals, whole_ests = _rule(whole, points, order)
+    segment of ``kept.segs`` as ``(vals, ests, counts, failed)``: the
+    whole-segment rule on the kept blocks, taken at every point in one call,
+    where it is admitted, else the sums over the panels of
+    :func:`_planned`; ``counts`` holds the panel counts and ``failed`` the
+    indices of the segments that fail."""
+    segs = kept.segs
+    whole_vals, whole_ests = _rule(kept.blocks, points, order)
     for c, vals, ests in zip(points.tolist(), whole_vals.tolist(), whole_ests.tolist()):
         counts, failed = [1] * len(segs), []
         for i, seg in enumerate(segs):
             if _admitted(vals[i], ests[i], abs_tol):
                 continue
-            plan = _plan(values, seg, c if order < 0 else None)
-            if plan is not None:
-                with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
-                    panel_vals, panel_ests = _rule(_blocks(values, plan), np.array([c]), order)
+            with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
+                plan, blocks = _planned(values, kept, seg, c if order < 0 else None)
+                if plan is not None:
+                    panel_vals, panel_ests = _rule(blocks, np.array([c]), order)
                     vals[i], ests[i], counts[i] = panel_vals.sum().item(), float(panel_ests.sum()), len(plan)
             if plan is None or not _admitted(vals[i], ests[i], abs_tol):
                 failed.append(seg.index)
@@ -426,8 +536,9 @@ def _remainder_raw(
     scaled, e, abs_tol = _scaled(values, 1)
     scale = math.ldexp(1.0, e)
     zs = [p / scale for p in points]
-    segs, whole = _whole_segments(scaled)
-    integrals = _segment_integrals(scaled, segs, whole, np.array(zs, dtype=complex), -1, abs_tol)
+    kept = _kept(scaled)
+    segs = kept.segs
+    integrals = _segment_integrals(scaled, kept, np.array(zs, dtype=complex), -1, abs_tol)
     # the fault-injection scale rides on each segment's weight (exact at 1.0)
     weights = [seg.weight * density_scale for seg in segs]
     results, failures = [], []
@@ -538,8 +649,9 @@ def density_moment(a: Sequence, order: int) -> float:
     # the moment is homogeneous of degree order + 2
     scaled, e, abs_tol = _scaled(a.values, order + 2)
     shift = e * (order + 2)
-    segs, whole = _whole_segments(scaled)
-    ((vals, _, _, failed),) = _segment_integrals(scaled, segs, whole, np.zeros(1), order, abs_tol)
+    kept = _kept(scaled)
+    segs = kept.segs
+    ((vals, _, _, failed),) = _segment_integrals(scaled, kept, np.zeros(1), order, abs_tol)
     try:
         total = math.ldexp(sum((seg.weight * val for seg, val in zip(segs, vals)), 0.0), shift)
     except OverflowError:

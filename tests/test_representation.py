@@ -11,6 +11,7 @@ import os
 import subprocess
 import sys
 import warnings
+import weakref
 from pathlib import Path
 
 import gmeanrep
@@ -322,6 +323,149 @@ class TestMemo:
         remainder(a, zs[0])
         assert builds == once + [2] + once
         assert len(representation._LAST) == 1
+
+
+def _kept_rule():
+    return representation._LAST[0][1]
+
+
+class TestKeptPlans:
+    """A segment's pole-free plan and its blocks are kept with the
+    whole-segment rule, and a pair whose pole does not bind the plan uses
+    them, bit for bit as a plan made and built for the call."""
+
+    @staticmethod
+    def poles(rng, values, seg):
+        # z = 0, x0 exactly at an end, poles just off a neighbouring entry
+        # and one anywhere near the segment
+        width = seg.hi - seg.lo
+        zs = [0j]
+        for x in (seg.lo, seg.hi):
+            zs += [complex(-x, sign * width * 10.0 ** rng.uniform(-12.0, 0.0)) for sign in (1, -1)]
+        for x in representation._neighbours(values, seg):
+            if math.isfinite(x):
+                d = width * 10.0 ** rng.uniform(-14.0, -1.0)
+                zs += [complex(-x - d, d), complex(-x + d, -d), complex(-x, d)]
+        zs.append(complex(-rng.uniform(seg.lo - width, seg.hi + width), width * rng.uniform(-1.0, 1.0)))
+        return zs
+
+    def test_pole_free_plan_is_the_plan(self, monkeypatch):
+        # each pair gets _plan's own panels, and the kept ones exactly when
+        # the pole neither cuts the segment nor binds the pole-free plan;
+        # the blocks are left out here
+        monkeypatch.setattr(representation, "_blocks", lambda values, panels: [])
+        rng = np.random.default_rng(67)
+        kept_pairs = bound_pairs = 0
+        for n in [*range(2, 300, 23), 300]:
+            a = Sequence(10.0 ** rng.uniform(-1.0, 1.0, n))
+            kept = representation._Kept(segments(a), [])
+            for seg in kept.segs:
+                free = representation._plan(a.values, seg)
+                for z in self.poles(rng, a.values, seg):
+                    panels, _ = representation._planned(a.values, kept, seg, z)
+                    assert panels == representation._plan(a.values, seg, z), (a.values, seg.index, z)
+                    keeps = not representation._pole_cuts(seg, z) and not representation._pole_binds(free, z)
+                    assert (panels == free) == keeps, (a.values, seg.index, z)
+                    plan = kept.plans.get(seg.index)
+                    assert (plan is not None and panels is plan.panels) == keeps, (a.values, seg.index, z)
+                    kept_pairs += keeps
+                    bound_pairs += not keeps
+        assert kept_pairs > 1000 and bound_pairs > 1000
+
+    def test_warm_call_is_cold_call(self, monkeypatch):
+        rng = np.random.default_rng(68)
+        for n in (120, 210, 300):
+            a = Sequence(10.0 ** rng.uniform(-1.0, 1.0, n))
+            # the wide-n points and one 1e-6 above the cut at an entry
+            zs = [0j, 1 + 1j, 10 + 0j, complex(-0.5 * (a.min + a.max), 0.3), complex(-a.values[n // 2], 1e-6)]
+            cold = [_bits(_cold(lambda: remainder(a, z))) for z in zs]
+            for z in zs:
+                remainder(a, z)
+            assert [_bits(remainder(a, z)) for z in zs] == cold, n
+            assert [_bits(rem) for rem in remainder(a, np.array(zs))] == cold, n
+            assert any(plan.blocks for plan in _kept_rule().plans.values()), n
+            # and with no plan kept, every plan is built for its call
+            with monkeypatch.context() as m:
+                m.setattr(representation, "_KEPT_NODES", 0)
+                assert [_bits(_cold(lambda: remainder(a, z))) for z in zs] == cold, n
+                assert not any(plan.blocks for plan in _kept_rule().plans.values()), n
+
+    def test_kept_arrays_are_read_only(self):
+        # the entries 1e-9 apart bind the whole-segment rule on both sides
+        a = Sequence((0.3, 1.0, 1.0 + 1e-9, 2.5, 7.0))
+        _cold(lambda: remainder(a, 1 + 1j))
+        density_moment(a, 0)
+        plans = [plan for plan in _kept_rule().plans.values() if plan.blocks]
+        assert plans
+        for plan in plans:
+            for block in plan.blocks:
+                for array in block:
+                    assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            plans[0].blocks[0].weights[0, 0] = 0.0
+
+    def test_one_build_per_plan(self, monkeypatch):
+        # every pole here is far from the entries and binds no plan: each
+        # pole-free plan is built once, and density_moment shares them
+        built = []
+        build = representation._panel_weights
+
+        def counting(values, panels):
+            built.extend((p.seg.index, p.anchor, p.lo, p.hi) for p in panels if p.anchor != 0.0)
+            return build(values, panels)
+
+        monkeypatch.setattr(representation, "_panel_weights", counting)
+        a = Sequence(10.0 ** np.random.default_rng(70).uniform(-1.0, 1.0, 300))
+        _cold(lambda: density_moment(a, 0))
+        kept = _kept_rule()
+        by_moment = {i for i, plan in kept.plans.items() if plan.blocks}
+        assert by_moment
+        zs = [0j, 1 + 1j, 10 + 0j, 2j, 0.5 - 3j]
+        for _ in range(2):
+            for z in zs:
+                remainder(a, z)
+            remainder(a, np.array(zs))
+            density_moment(a, 0)
+            density_moment(a, 2)
+        assert _kept_rule() is kept
+        plans = {i: plan for i, plan in kept.plans.items() if plan.blocks}
+        assert by_moment < set(plans)
+        assert sorted(built) == sorted((p.seg.index, p.anchor, p.lo, p.hi) for plan in plans.values() for p in plan.panels)
+
+    def test_a_new_target_drops_the_plans(self, monkeypatch):
+        # a plan depends on _SPEC's panel budget, so the kept rule is keyed
+        # by _SPEC too: a smaller budget is never served a larger plan
+        a = Sequence((0.3, 1.0, 1.0 + 1e-9, 2.5, 7.0))
+        assert max(_cold(lambda: remainder(a, 1 + 1j)).panels) > 2
+        monkeypatch.setattr(representation, "_SPEC", QuadratureSpec(max_subdivisions=2))
+        with pytest.raises(QuadratureFailure) as warm:
+            remainder(a, 1 + 1j)
+        with pytest.raises(QuadratureFailure) as cold:
+            _cold(lambda: remainder(a, 1 + 1j))
+        assert _bits(warm.value.result) == _bits(cold.value.result)
+
+    def test_kept_plans_are_bounded(self, monkeypatch):
+        # 150 pairs of entries 1e-15 apart plan about 20 panels on each
+        # segment between pairs, more than _KEPT_NODES holds
+        rng = np.random.default_rng(71)
+        base = 10.0 ** rng.uniform(-1.0, 1.0, 150)
+        a = Sequence(np.concatenate([base, base * (1 + 1e-15)]))
+        with monkeypatch.context() as m:
+            m.setattr(representation, "_KEPT_NODES", 0)
+            cold = [_bits(_cold(lambda: remainder(a, 1 + 1j))), repr(density_moment(a, 0))]
+        warm = [_bits(_cold(lambda: remainder(a, 1 + 1j))), repr(density_moment(a, 0))]
+        assert warm == cold
+        plans = _kept_rule().plans.values()
+        # the bound the module states: _KEPT_NODES nodes, 25 bytes a node
+        assert 0 < _kept_rule().plan_nodes() <= representation._KEPT_NODES
+        assert sum(array.nbytes for plan in plans if plan.blocks for block in plan.blocks for array in block) <= 25 * representation._KEPT_NODES
+        assert any(plan.panels and not plan.blocks for plan in plans)
+        # the plans go with the sequence: a call on another drops them
+        last = weakref.ref(_kept_rule())
+        del plans
+        remainder(Sequence((1, 2, 3)), 1.0)
+        assert last() is None
+        assert _kept_rule().plans == {} and len(representation._LAST) == 1
 
 
 def _where_weights(values, panels):
