@@ -33,16 +33,18 @@ call on another sequence (or another ``_BLOCK`` or ``_SPEC``) replaces them
 ``1/(t_j + z)`` and the pole's ``rho``; the moment is the same loop at the
 single point ``c = 0`` (:func:`_rule`).  Admission stays per (segment,
 ``z``).  Where the whole-segment rule misses, a close neighbouring entry,
-not the pole, is most often what narrows the ellipse, and the plan is then
-the pole-free one.  So each segment's pole-free plan, ``_plan`` with
-``z=None``, and its blocks are kept beside the whole-segment blocks and
-dropped with them, made the first time a point needs them, and used by
-every point whose pole neither cuts the segment nor binds the plan and by
-``density_moment`` (:func:`_planned`).  Any other plan and its panels are
-built for the call alone, as are blocks that would take the kept plans
-beyond ``_KEPT_NODES`` nodes: at most 25 bytes a node, 1.6 MB.  The scalar
-call is the length-one case of the same code, and a point's result is bit
-for bit the same in any batch and whether its weights were kept or built.
+not the pole, is most often what narrows the ellipse.  So each segment's
+pole-free plan, ``_plan`` with ``z=None``, and its blocks are kept beside
+the whole-segment blocks and dropped with them, made the first time a point
+needs them.  A pole whose projection ``-re(z)`` lies outside the segment
+refines that plan: the panels the pole passes stay, and the others are
+walked on with it.  A pole that fails no panel gets the kept plan itself
+back, and with it the kept blocks, as ``density_moment`` does
+(:func:`_planned`).  Any other plan and its panels are built for the call
+alone, as are blocks that would take the kept plans beyond ``_KEPT_NODES``
+nodes: at most 25 bytes a node, 1.6 MB.  The scalar call is the length-one
+case of the same code, and a point's result is bit for bit the same in any
+batch and whether its weights were kept or built.
 
 ``z = 0`` needs no special handling: the integration variable stays >= min(a)
 > 0, so ``1/(t+z)`` is bounded for every ``re(z) > -min(a)``.  Within 1e-6 of
@@ -57,6 +59,7 @@ the finite whole-segment value (README "Numerical notes").
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -64,7 +67,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .boundary import SegmentDensity, _segments_raw
-from .means import Sequence, _check_cut, _check_point, _check_scalar_point
+from .means import Sequence, _check_cut, _check_point, _check_scalar_point, _mean
 from .quadrature import (
     _ROUNDOFF,
     JACOBI_NODES,
@@ -273,8 +276,8 @@ def _freeze(blocks: list[_Block]) -> list[_Block]:
 
 class _Plan(NamedTuple):
     """A segment's pole-free plan, ``_plan(values, seg)`` (``None`` beyond
-    the panel budget), and its read-only blocks: ``None`` until a pole-free
-    pair uses them, and while they would take the kept plans beyond
+    the panel budget), and its read-only blocks: ``None`` until a pair is
+    served them, and while they would take the kept plans beyond
     ``_KEPT_NODES``."""
 
     panels: list[_Panel] | None
@@ -285,16 +288,11 @@ class _Plan(NamedTuple):
 class _Kept:
     """The z-free rule kept for the one sequence seen last: its segments,
     the read-only blocks of their whole-segment rule and, by segment index,
-    the :class:`_Plan` of each segment a call has planned without a binding
-    pole."""
+    the :class:`_Plan` of each segment a call has needed panels for."""
 
     segs: list[SegmentDensity]
     blocks: list[_Block]
     plans: dict[int, _Plan] = field(default_factory=dict)
-
-    def __iter__(self):
-        # unpacks as the whole-segment rule, ``segs, blocks``
-        return iter((self.segs, self.blocks))
 
     def plan_nodes(self) -> int:
         """Nodes of the plans whose blocks are kept."""
@@ -369,13 +367,6 @@ def _rule(blocks: list[_Block], points: np.ndarray, order: int) -> tuple[np.ndar
     return vals, ests
 
 
-def _too_close(seg: SegmentDensity, z: complex) -> bool:
-    """Whether the pole ``-z`` lies within ``_TINY`` of the segment."""
-    x0 = -z.real
-    nearest = min(max(x0, seg.lo), seg.hi)
-    return math.hypot(x0 - nearest, z.imag) < _TINY
-
-
 def _wide_enough(points: tuple, lo: float, hi: float) -> bool:
     """The plan's admission test: the smallest Bernstein ellipse of the
     panel ``[lo, hi]`` through ``points`` has semi-major axis ``_S_NEED``
@@ -383,43 +374,29 @@ def _wide_enough(points: tuple, lo: float, hi: float) -> bool:
     return min(abs(p - lo) + abs(p - hi) for p in points) >= _S_NEED * (hi - lo)
 
 
-def _plan(values: tuple[float, ...], seg: SegmentDensity, z: complex | None = None) -> list[_Panel] | None:
-    """Panels for a segment the whole-segment rule does not admit, chosen
-    from its singularities alone, or ``None`` when more than
-    ``_SPEC.max_subdivisions`` would be needed or the pole lies within
-    ``_TINY`` of the segment.  ``z=None`` plans for a kernel with no pole.
-
-    The segment is cut at the pole projection ``x0 = -re(z)`` when that lies
-    inside, and each part at its midpoint, so every half has one anchor:
-    ``lo``, ``hi`` or ``x0``, the point of the half nearest to each
-    singularity.  A half is one panel while that panel's Bernstein ellipse
-    through the pole, the neighbouring entries and the segment ends it does
-    not touch is wide enough for its bound to meet ``_PLAN_MARGIN`` times
-    ``_SPEC.rel_tol`` (never finer than roundoff); otherwise it is cut at
-    ``_GRADING`` of its length from the anchor end and both pieces are
+def _walk(values: tuple[float, ...], seg: SegmentDensity, z: complex | None, roots: list) -> list[_Panel] | None:
+    """The panels the roots ``(anchor, a, b)`` of ``seg`` end in, in order,
+    or ``None`` when more than ``_SPEC.max_subdivisions`` would be needed:
+    the budget counts the roots still to walk.  A panel is kept while its
+    Bernstein ellipse through the pole ``-z`` (none for ``z=None``), the
+    neighbouring entries and the segment ends it does not touch is wide
+    enough for its bound to meet ``_PLAN_MARGIN`` times ``_SPEC.rel_tol``
+    (never finer than roundoff); otherwise it is cut at ``_GRADING`` of its
+    length from ``a``, the end nearer its anchor, and both pieces are
     checked again.  Offsets stay relative to the anchor (``x0 + z`` is
-    exactly ``i*im(z)``).
-    """
-    if z is not None and _too_close(seg, z):
-        return None
+    exactly ``i*im(z)``)."""
     prev, after = _neighbours(values, seg)
-    if z is not None and seg.lo < -z.real < seg.hi:
-        x0 = -z.real
-        left, right = 0.5 * (x0 - seg.lo), 0.5 * (seg.hi - x0)
-        halves = ((seg.lo, left), (x0, -left), (x0, right), (seg.hi, -right))
-    else:
-        half = 0.5 * (seg.hi - seg.lo)
-        halves = ((seg.lo, half), (seg.hi, -half))
     panels: list[_Panel] = []
-    for anchor, far in halves:
+    for k, (anchor, a, b) in enumerate(roots):
+        rest = len(roots) - 1 - k
         poles = () if z is None else (-z - anchor,)
         ends = (seg.lo - anchor, seg.hi - anchor)
         neighbours = (prev - anchor, after - anchor)
-        work = [(0.0, far)]
+        work = [(a, b)]
         while work:
-            if len(panels) + len(work) > _SPEC.max_subdivisions:
+            if len(panels) + len(work) + rest > _SPEC.max_subdivisions:
                 return None
-            a, b = work.pop()  # a is the end nearer the anchor
+            a, b = work.pop()
             lo, hi = min(a, b), max(a, b)
             m_lo = seg.m_lo if lo == ends[0] else 0
             m_hi = seg.m_hi if hi == ends[1] else 0
@@ -432,56 +409,64 @@ def _plan(values: tuple[float, ...], seg: SegmentDensity, z: complex | None = No
     return panels
 
 
+def _plan(
+    values: tuple[float, ...], seg: SegmentDensity, z: complex | None = None, free: list[_Panel] | None = None
+) -> list[_Panel] | None:
+    """Panels for a segment the whole-segment rule does not admit, chosen
+    from its singularities alone by :func:`_walk`, or ``None`` beyond the
+    panel budget or when the pole lies within ``_TINY`` of the segment.
+
+    ``z=None`` plans for a kernel with no pole: the halves ``[lo, mid]``
+    anchored at ``lo`` and ``[mid, hi]`` anchored at ``hi`` are walked, so
+    each half's anchor is its point nearest to each singularity.  A pole
+    whose projection ``x0 = -re(z)`` lies inside the segment cuts it there
+    and each part at its midpoint, four halves anchored at ``lo``, ``x0``,
+    ``x0`` and ``hi``.  Any other pole refines the pole-free plan ``free``
+    (made here when not given): each of its panels is walked on with the
+    pole from the end nearer its anchor, so a panel the pole passes stays,
+    and when the pole fails none the result is ``free`` itself.
+    """
+    if z is not None:
+        x0 = -z.real
+        if math.hypot(x0 - min(max(x0, seg.lo), seg.hi), z.imag) < _TINY:
+            return None
+        if seg.lo < x0 < seg.hi:
+            left, right = 0.5 * (x0 - seg.lo), 0.5 * (seg.hi - x0)
+            return _walk(values, seg, z, [(seg.lo, 0.0, left), (x0, 0.0, -left), (x0, 0.0, right), (seg.hi, 0.0, -right)])
+    if free is None:
+        half = 0.5 * (seg.hi - seg.lo)
+        free = _walk(values, seg, None, [(seg.lo, 0.0, half), (seg.hi, 0.0, -half)])
+    if z is None or free is None or all(_wide_enough((-z - p.anchor,), p.lo, p.hi) for p in free):
+        return free
+    # the end nearer the anchor: lo on the lower half, hi on the upper one
+    return _walk(values, seg, z, [(p.anchor, p.lo, p.hi) if p.lo >= 0.0 else (p.anchor, p.hi, p.lo) for p in free])
+
+
 def _admitted(val, est: float, abs_tol: float) -> bool:
     # an overflowed value or estimate can never certify itself
     return est <= max(abs_tol, _SPEC.rel_tol * abs(val)) < math.inf
 
 
-def _built(values: tuple[float, ...], panels: list[_Panel] | None):
-    """``(panels, blocks)`` with the blocks built for this call alone."""
-    return panels, None if panels is None else _blocks(values, panels)
-
-
-def _pole_cuts(seg: SegmentDensity, z: complex) -> bool:
-    """Whether the pole ``-z`` makes :func:`_plan` start another tree:
-    ``x0 = -re(z)`` lies inside the segment, or the pole within ``_TINY``
-    of it."""
-    return seg.lo < -z.real < seg.hi or _too_close(seg, z)
-
-
-def _pole_binds(panels: list[_Panel], z: complex) -> bool:
-    """Whether the pole ``-z`` fails :func:`_wide_enough` on some panel of a
-    pole-free plan.  Where it neither binds nor cuts the segment, ``_plan``
-    with the pole walks exactly the pole-free tree: each panel's test takes
-    the smallest sum over the same points and the pole, so every pole-free
-    split happens and the pole adds none (with too many panels both plans
-    are ``None``)."""
-    return not all(_wide_enough((-z - p.anchor,), p.lo, p.hi) for p in panels)
-
-
 def _planned(values: tuple[float, ...], kept: _Kept, seg: SegmentDensity, z: complex | None):
     """``_plan(values, seg, z)`` and its blocks, for a caller that ignores
-    overflow and invalid operations: the kept pole-free plan and its blocks
-    unless the pole ``-z`` cuts the segment or binds the plan (``z=None``
-    has no pole), else planned and built for this call.  The pole-free plan
-    is made the first time a pole that does not cut the segment needs it,
-    and its blocks the first time one that does not bind it does; blocks
-    that would take the kept plans beyond ``_KEPT_NODES`` are built per
-    call."""
-    if z is not None and _pole_cuts(seg, z):
-        return _built(values, _plan(values, seg, z))
+    overflow and invalid operations.  The segment's pole-free plan is made
+    the first time a pair needs panels, and kept; the pair is served the
+    kept plan and its blocks exactly when :func:`_plan`, given that plan,
+    returns it (``z=None`` has no pole), else its plan is built for this
+    call.  The kept blocks are built the first time a pair is served them,
+    and per call while they would take the kept plans beyond
+    ``_KEPT_NODES``."""
     plan = kept.plans.get(seg.index)
     if plan is None:
         plan = kept.plans[seg.index] = _Plan(_plan(values, seg), None)
-    if plan.panels is None:
-        return plan
-    if z is not None and _pole_binds(plan.panels, z):
-        return _built(values, _plan(values, seg, z))
+    panels = _plan(values, seg, z, plan.panels)
+    if panels is None or panels is not plan.panels:
+        return panels, None if panels is None else _blocks(values, panels)
     if plan.blocks is None:
-        blocks = _blocks(values, plan.panels)
-        if kept.plan_nodes() + len(plan.panels) * JACOBI_NODES > _KEPT_NODES:
-            return plan.panels, blocks
-        plan = kept.plans[seg.index] = _Plan(plan.panels, _freeze(blocks))
+        blocks = _blocks(values, panels)
+        if kept.plan_nodes() + len(panels) * JACOBI_NODES > _KEPT_NODES:
+            return panels, blocks
+        plan = kept.plans[seg.index] = _Plan(panels, _freeze(blocks))
     return plan
 
 
@@ -529,6 +514,8 @@ def _remainder_raw(
     names each point that failed and carries the partial result of every
     point, in the same form."""
     points = z.tolist() if isinstance(z, np.ndarray) else [z]
+    # n = 1 and the constant draws, about 17 % of the corpus sequences:
+    # the general path would cost each of them a kept-rule build
     if values[0] == values[-1]:
         results = [RemainderValue(0j, (), 0.0, ())] * len(points)
         return results if isinstance(z, np.ndarray) else results[0]
@@ -592,7 +579,7 @@ def remainder(a: Sequence, z, density_scale: float = 1.0) -> RemainderValue | li
 
 def _reconstruct(a: Sequence, z, rem):
     """``A + z - R(z)`` from checked point(s) ``z`` and their :func:`remainder`."""
-    am = math.fsum(a.values) / a.n
+    am = _mean(a.values)
     if isinstance(z, np.ndarray):
         return am + z - np.array([r.value for r in rem], dtype=complex)
     return am + z - rem.value
@@ -620,7 +607,7 @@ def shifted_excess_via_representation(a: Sequence, z) -> complex:
     _check_cut(z, 0.0, "shifted_excess_via_representation")
     shifted = a.shifted()
     rem = _remainder_raw(shifted, z, 1.0)
-    return math.fsum(shifted) / a.n - rem.value
+    return _mean(shifted) - rem.value
 
 
 def am_gm_gap(a: Sequence) -> float:
@@ -640,10 +627,18 @@ def density_moment(a: Sequence, order: int) -> float:
     The zeroth moment is the total mass of the remainder measure and equals
     half the population variance of the entries.
 
+    ``order`` is any integer, a NumPy integer too.
+
     Raises:
+        TypeError: for an order that is not an integer, ``2.0`` included.
+        ValueError: for a negative order.
         QuadratureFailure: if a segment misses ``_SPEC`` or the moment
             overflows; the partial sum (``inf`` on overflow) rides on it.
     """
+    try:
+        order = operator.index(order)
+    except TypeError:
+        raise TypeError(f"moment order must be an integer, got {order!r}") from None
     if order < 0:
         raise ValueError(f"moment order must be >= 0, got {order}")
     # the moment is homogeneous of degree order + 2

@@ -1,6 +1,7 @@
 """Branch-cut boundary data: segments, the cut-limit formula, moments."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -239,6 +240,16 @@ class TestDensityMoment:
     def test_negative_order_rejected(self):
         with pytest.raises(ValueError):
             density_moment(Sequence((1, 2)), -1)
+
+    def test_integer_orders(self):
+        a = Sequence((1, 2, 3))
+        for order in (0, 2):
+            expected = repr(density_moment(a, order))
+            for same in (np.int64(order), np.int32(order), np.uint8(order)):
+                assert repr(density_moment(a, same)) == expected, same
+        for bad in (2.0, 1.5, np.float64(2.0), "2", None):
+            with pytest.raises(TypeError, match=re.escape(f"moment order must be an integer, got {bad!r}")):
+                density_moment(a, bad)
 
     def test_non_convergence_carries_partial_sum(self, monkeypatch):
         from gmeanrep import representation

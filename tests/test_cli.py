@@ -98,6 +98,12 @@ class TestEval:
         assert doc["repr_value"] == {"re": 6.0, "im": 1.0}
         assert doc["abs_error"] <= 1e-14
 
+    def test_entries_near_the_top_of_the_range(self, capsys):
+        code, out, _ = run(capsys, "eval", "--a", "1e308,1.7e308", "--z", "1")
+        assert code == EXIT_OK
+        doc = json.loads(out)
+        assert doc["abs_error"] <= 1e-12 * doc["direct_value"]["re"]
+
     def test_cut_violation_names_cut(self, capsys):
         code, _, err = run(capsys, "eval", "--a", "1,2", "--z=-1.5")
         assert code == EXIT_CUT
@@ -194,6 +200,16 @@ class TestGap:
         gap_direct, gap_repr = float(fields[3]), float(fields[4])
         assert gap_direct == pytest.approx(1.5 - math.sqrt(2), abs=1e-12)
         assert abs(gap_direct - gap_repr) <= 1e-9
+
+
+    def test_entries_near_the_top_of_the_range(self, capsys):
+        # the sum of the entries overflows, A = 1.35e308 does not
+        code, out, _ = run(capsys, "gap", "--a", "1e308,1.7e308")
+        assert code == EXIT_OK
+        fields = next(__import__("csv").reader([out.splitlines()[1]]))
+        assert float(fields[1]) == 1.35e308
+        gap_direct, gap_repr = float(fields[3]), float(fields[4])
+        assert abs(gap_direct - gap_repr) <= 1e-9 * gap_direct
 
 
 class TestContour:

@@ -60,6 +60,18 @@ class TestMeans:
         assert arithmetic_mean(Sequence((1, 2, 3))) == 2.0
         assert arithmetic_mean(Sequence((0.1, 10))) == 5.05
 
+    def test_arithmetic_near_the_top_of_the_range(self):
+        # the sum of the entries overflows, the mean does not
+        assert arithmetic_mean(Sequence((1e308, 1.7e308))) == 1.35e308
+        assert arithmetic_mean(Sequence((1.7e308,) * 5)) == 1.7e308
+        # scaling by a power of two is exact here, so either way the mean
+        # is the one rounding of the exact one
+        rng = np.random.default_rng(8)
+        for _ in range(200):
+            a = Sequence(1.7e308 * 10.0 ** rng.uniform(-3.0, 0.0, int(rng.integers(2, 12))))
+            scaled = [math.ldexp(v, -1000) for v in a.values]
+            assert arithmetic_mean(a) == math.ldexp(math.fsum(scaled) / a.n, 1000), a.values
+
     def test_arithmetic_constant(self):
         assert arithmetic_mean(Sequence((7.3, 7.3, 7.3))) == pytest.approx(7.3, rel=1e-15)
 

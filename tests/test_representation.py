@@ -284,14 +284,14 @@ class TestMemo:
 
     def test_cached_arrays_are_read_only(self):
         remainder(self.A, 1.0)
-        (key, (segs, blocks)) = representation._LAST[0]
+        key, kept = representation._LAST[0]
         assert key[0] == representation._scaled(self.A.values, 1)[0]
-        assert sum(len(block.anchor) for block in blocks) == len(segs) == 3
-        for block in blocks:
+        assert sum(len(block.anchor) for block in kept.blocks) == len(kept.segs) == 3
+        for block in kept.blocks:
             for array in block:
                 assert not array.flags.writeable
         with pytest.raises(ValueError):
-            blocks[0].weights[0, 0] = 0.0
+            kept.blocks[0].weights[0, 0] = 0.0
 
     def test_one_build_per_sequence(self, monkeypatch):
         # k calls on one sequence build its whole-segment weights once; a
@@ -329,9 +329,44 @@ def _kept_rule():
     return representation._LAST[0][1]
 
 
+def _walked_plan(values, seg, z):
+    """A segment's plan walked from its halves with the pole, the planner
+    the refining one replaced: the reference for the refined plans."""
+    x0 = None if z is None else -z.real
+    if z is not None and math.hypot(x0 - min(max(x0, seg.lo), seg.hi), z.imag) < representation._TINY:
+        return None
+    prev, after = representation._neighbours(values, seg)
+    if z is not None and seg.lo < x0 < seg.hi:
+        left, right = 0.5 * (x0 - seg.lo), 0.5 * (seg.hi - x0)
+        halves = ((seg.lo, left), (x0, -left), (x0, right), (seg.hi, -right))
+    else:
+        half = 0.5 * (seg.hi - seg.lo)
+        halves = ((seg.lo, half), (seg.hi, -half))
+    panels = []
+    for anchor, far in halves:
+        poles = () if z is None else (-z - anchor,)
+        ends = (seg.lo - anchor, seg.hi - anchor)
+        neighbours = (prev - anchor, after - anchor)
+        work = [(0.0, far)]
+        while work:
+            if len(panels) + len(work) > representation._SPEC.max_subdivisions:
+                return None
+            a, b = work.pop()
+            lo, hi = min(a, b), max(a, b)
+            m_lo = seg.m_lo if lo == ends[0] else 0
+            m_hi = seg.m_hi if hi == ends[1] else 0
+            points = (*poles, neighbours[0] if m_lo else ends[0], neighbours[1] if m_hi else ends[1])
+            if min(abs(p - lo) + abs(p - hi) for p in points) >= representation._S_NEED * (hi - lo):
+                panels.append(representation._Panel(seg, anchor, lo, hi, m_lo, m_hi))
+            else:
+                cut = a + (b - a) * representation._GRADING
+                work += [(cut, b), (a, cut)]
+    return panels
+
+
 class TestKeptPlans:
     """A segment's pole-free plan and its blocks are kept with the
-    whole-segment rule, and a pair whose pole does not bind the plan uses
+    whole-segment rule, and a pair whose pole fails no kept panel uses
     them, bit for bit as a plan made and built for the call."""
 
     @staticmethod
@@ -349,28 +384,52 @@ class TestKeptPlans:
         zs.append(complex(-rng.uniform(seg.lo - width, seg.hi + width), width * rng.uniform(-1.0, 1.0)))
         return zs
 
-    def test_pole_free_plan_is_the_plan(self, monkeypatch):
-        # each pair gets _plan's own panels, and the kept ones exactly when
-        # the pole neither cuts the segment nor binds the pole-free plan;
-        # the blocks are left out here
-        monkeypatch.setattr(representation, "_blocks", lambda values, panels: [])
-        rng = np.random.default_rng(67)
-        kept_pairs = bound_pairs = 0
+    @classmethod
+    def corpus(cls, rng):
+        # (values, seg, z) for n = 2..300 and every segment's poles
         for n in [*range(2, 300, 23), 300]:
             a = Sequence(10.0 ** rng.uniform(-1.0, 1.0, n))
-            kept = representation._Kept(segments(a), [])
-            for seg in kept.segs:
-                free = representation._plan(a.values, seg)
-                for z in self.poles(rng, a.values, seg):
-                    panels, _ = representation._planned(a.values, kept, seg, z)
-                    assert panels == representation._plan(a.values, seg, z), (a.values, seg.index, z)
-                    keeps = not representation._pole_cuts(seg, z) and not representation._pole_binds(free, z)
-                    assert (panels == free) == keeps, (a.values, seg.index, z)
-                    plan = kept.plans.get(seg.index)
-                    assert (plan is not None and panels is plan.panels) == keeps, (a.values, seg.index, z)
-                    kept_pairs += keeps
-                    bound_pairs += not keeps
-        assert kept_pairs > 1000 and bound_pairs > 1000
+            for seg in segments(a):
+                yield from ((a.values, seg, z) for z in cls.poles(rng, a.values, seg))
+
+    def test_kept_plan_served_exactly_when_plan_returns_it(self, monkeypatch):
+        # each pair gets _plan's own panels, and the kept plan and blocks
+        # exactly when _plan, given the kept plan, returns that very list;
+        # the blocks are stand-ins here
+        monkeypatch.setattr(representation, "_blocks", lambda values, panels: [])
+        kept_pairs = other_pairs = 0
+        last = None
+        for values, seg, z in self.corpus(np.random.default_rng(67)):
+            if values is not last:
+                kept, last = representation._Kept(segments(Sequence(values)), []), values
+            panels, blocks = representation._planned(values, kept, seg, z)
+            assert panels == representation._plan(values, seg, z), (values, seg.index, z)
+            plan = kept.plans[seg.index]
+            keeps = representation._plan(values, seg, z, plan.panels) is plan.panels
+            assert (panels is plan.panels) == keeps, (values, seg.index, z)
+            if keeps and plan.blocks is not None:
+                assert blocks is plan.blocks, (values, seg.index, z)
+            kept_pairs += keeps
+            other_pairs += not keeps
+        assert kept_pairs > 1000 and other_pairs > 1000
+
+    def test_refined_plan_is_the_walk_with_the_pole(self, monkeypatch):
+        # the pole-free plan refined by a pole is the plan walked from the
+        # halves with that pole, also where the budget runs out
+        rng = np.random.default_rng(69)
+        cases = list(self.corpus(rng))
+        refined = 0
+        for budget in (representation._SPEC.max_subdivisions, 6, 2):
+            monkeypatch.setattr(representation, "_SPEC", QuadratureSpec(max_subdivisions=budget))
+            free = {}
+            for values, seg, z in cases:
+                if (values, seg.index) not in free:
+                    free[values, seg.index] = representation._plan(values, seg)
+                    assert free[values, seg.index] == _walked_plan(values, seg, None)
+                plan = representation._plan(values, seg, z, free[values, seg.index])
+                assert plan == _walked_plan(values, seg, z), (values, seg.index, z, budget)
+                refined += plan is not None and plan is not free[values, seg.index] and not seg.lo < -z.real < seg.hi
+        assert refined > 1000
 
     def test_warm_call_is_cold_call(self, monkeypatch):
         rng = np.random.default_rng(68)
@@ -638,6 +697,15 @@ class TestGmeanViaRepresentation:
     def test_matches_direct_on_seeded_corpus(self):
         assert seeded_suite("representation-equivalence", 41, 30).passed
 
+    def test_entries_near_the_top_of_the_range(self):
+        # A = 1.35e308 although the entries' sum overflows
+        a = Sequence((1e308, 1.7e308))
+        zs = [1.0, 1j, -1e308 + 1e307j]
+        for z, via in zip(zs, gmean_via_representation(a, np.array(zs, dtype=complex))):
+            direct = principal_gmean(a, z)
+            assert abs(via - direct) <= 1e-12 * abs(direct), z
+            assert via == gmean_via_representation(a, z), z
+
 
 class TestShiftedExcessViaRepresentation:
     def test_constant_zero(self):
@@ -646,6 +714,13 @@ class TestShiftedExcessViaRepresentation:
     def test_closed_forms(self):
         assert abs(shifted_excess_via_representation(Sequence((1, 3)), 2.0) - (2 * math.sqrt(2) - 2)) <= 1e-9
         assert abs(shifted_excess_via_representation(Sequence((1, 2)), 1.0) - (math.sqrt(2) - 1)) <= 1e-9
+
+    def test_rebased_entries_near_the_top_of_the_range(self):
+        # the rebased entries (0, 1.7e308, 1.7e308) sum beyond the double range
+        a = Sequence((1.0, 1.7e308, 1.7e308))
+        for z in (1e300, 1e306, 1e306j):
+            direct = gmean_excess_shifted(a, z)
+            assert abs(shifted_excess_via_representation(a, z) - direct) <= 1e-11 * abs(direct), z
 
     def test_rebased_cut_rejected(self):
         with pytest.raises(CutViolation):
